@@ -68,6 +68,11 @@ class RunManifest:
     python: str = field(default_factory=platform.python_version)
     wall_seconds: Optional[float] = None
     engine_cycles: Optional[int] = None
+    # the cycle engine that ran: "array" or "wheel", picked by the host
+    # (repro.sim.engine.build_network), or "legacy" for the benchmark
+    # reference.  Environment, never identity: every engine is
+    # bit-identical.  None on records cached before the field existed
+    engine: Optional[str] = None
     cache: str = "computed"
     metrics: Optional[Dict[str, Any]] = None
     # batched-execution runtime metadata (repro.sim.batch): how many
@@ -101,6 +106,7 @@ class RunManifest:
             "python": self.python,
             "wall_seconds": self.wall_seconds,
             "engine_cycles": self.engine_cycles,
+            "engine": self.engine,
             "cache": self.cache,
             "metrics": self.metrics,
             "batch_size": self.batch_size,
@@ -122,6 +128,7 @@ class RunManifest:
             "python",
             "wall_seconds",
             "engine_cycles",
+            "engine",
             "cache",
             "metrics",
             "batch_size",

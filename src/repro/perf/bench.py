@@ -11,11 +11,11 @@ The benchmark families:
   :class:`~repro.sim.network.Network`; it produces bit-identical results,
   so the speedup ratio measures exactly the data-structure work.
 * **Array-engine microbenchmark** -- the same step-only methodology,
-  comparing the default timing-wheel engine against the struct-of-arrays
-  batched engine (``repro.sim.array.ArrayNetwork``, native C kernel when
-  a compiler is available).  The record names the backend that actually
-  ran (``native`` vs ``fallback``) because the fallback is the wheel
-  path itself and its "speedup" is meaningless.
+  comparing the timing-wheel engine against the struct-of-arrays engine
+  (``repro.sim.array.ArrayNetwork``, the host default whenever the
+  native C kernel loads).  Without the kernel the record names the
+  ``fallback`` backend and skips the arm: the host then runs the wheel
+  engine itself, so a "speedup" would be meaningless.
 * **Sweep wall-clock** -- an N-point latency-vs-load ladder executed
   serially, through a process pool (``--jobs``), and through a warm
   on-disk cache, asserting that all three return identical results.
@@ -55,6 +55,8 @@ from repro.topology import default_dragonfly
 from repro.topology.dragonfly import Dragonfly
 from repro.traffic.patterns import UniformRandom
 
+_NATIVE_GATE = "REPRO_ARRAYNET_NATIVE"
+
 __all__ = [
     "LegacyNetwork",
     "LegacyRouter",
@@ -69,6 +71,7 @@ __all__ = [
     "legacy_engine",
     "main",
     "run_benchmarks",
+    "wheel_engine",
 ]
 
 
@@ -91,12 +94,6 @@ class LegacyRouter(Router):
         super().__init__(idx, num_ports, num_vcs)
         self.active = set()  # type: ignore[assignment]
 
-    def activate(self, slot: int) -> None:
-        self.active.add(slot)
-
-    def deactivate(self, slot: int) -> None:
-        self.active.discard(slot)
-
 
 class LegacyNetwork(Network):
     """The seed engine's hot-path data structures, for baseline timing.
@@ -114,6 +111,7 @@ class LegacyNetwork(Network):
 
     channel_cls = LegacySimChannel
     router_cls = LegacyRouter
+    engine_name = "legacy"
 
     def __init__(self, topo, params, num_vcs) -> None:
         super().__init__(topo, params, num_vcs)
@@ -270,6 +268,24 @@ class LegacyNetwork(Network):
 
 
 @contextmanager
+def wheel_engine():
+    """Run ``simulate()`` on the timing-wheel engine inside this context.
+
+    Sets the existing ``REPRO_ARRAYNET_NATIVE=0`` gate, which
+    ``build_network`` reads (through ``load_kernel()``) on every call.
+    """
+    previous = os.environ.get(_NATIVE_GATE)
+    os.environ[_NATIVE_GATE] = "0"
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ[_NATIVE_GATE]
+        else:
+            os.environ[_NATIVE_GATE] = previous
+
+
+@contextmanager
 def legacy_engine():
     """Run ``simulate()`` on :class:`LegacyNetwork` inside this context."""
     import repro.sim.engine as engine_module
@@ -277,7 +293,8 @@ def legacy_engine():
     original = engine_module.Network
     engine_module.Network = LegacyNetwork
     try:
-        yield
+        with wheel_engine():
+            yield
     finally:
         engine_module.Network = original
 
@@ -292,10 +309,13 @@ def _time_steps(topo, pattern, load, routing, params, seed, cls=None) -> Tuple:
     :class:`LegacyNetwork` inherits; pass ``ArrayNetwork`` explicitly
     because it *overrides* ``step`` and patching the base class would
     silently time nothing) and sums a ``perf_counter`` interval around
-    each cycle.  Injection, routing decisions, and warmup/drain
-    bookkeeping in ``simulate()`` are identical code in all engines and
-    are excluded, so the ratio measures the deliver/crossbar/transmit
-    phases the engine work touched.
+    each cycle.  The caller picks the engine that runs: the host default
+    (``ArrayNetwork`` when the native kernel loads), or the wheel /
+    legacy engine inside :func:`wheel_engine` / :func:`legacy_engine`.
+    Injection, routing decisions, and warmup/drain bookkeeping in
+    ``simulate()`` are identical code in all engines and are excluded,
+    so the ratio measures the deliver/crossbar/transmit phases the
+    engine work touched.
     """
     from repro.sim.engine import simulate
 
@@ -352,9 +372,10 @@ def bench_engine(
     cycles_opt = cycles_leg = 0
     result_opt = result_leg = None
     for _ in range(repeats):
-        elapsed, cycles_opt, result_opt = _time_steps(
-            topo, pattern, load, routing, params, seed
-        )
+        with wheel_engine():
+            elapsed, cycles_opt, result_opt = _time_steps(
+                topo, pattern, load, routing, params, seed
+            )
         best_opt = min(best_opt, elapsed)
         with legacy_engine():
             elapsed, cycles_leg, result_leg = _time_steps(
@@ -391,52 +412,59 @@ def bench_array(
     seed: int = 1,
     repeats: int = 5,
 ) -> Dict:
-    """Array-engine cycles/second vs the timing-wheel default.
+    """Array-engine cycles/second vs the timing-wheel engine.
 
     Same step-only, interleaved, best-of-``repeats`` methodology as
     :func:`bench_engine` (see there for why MIN at saturating load is
     the right regime), but the baseline arm is the *wheel* engine -- the
-    repo default that ``bench_engine`` reports as "optimized" -- so the
-    two records compose: legacy -> wheel -> array.
+    engine ``bench_engine`` reports as "optimized" -- so the two records
+    compose: legacy -> wheel -> array.  The wheel arm runs inside
+    :func:`wheel_engine`; the array arm is the host default.
 
     ``identical_results`` uses full :class:`SimResult` equality (every
     measured field; the manifest is excluded by construction), which is
     the engine-parity contract the array engine must uphold.  ``backend``
-    records whether the native C kernel actually ran: without a compiler
-    the array engine falls back to the inherited wheel path and the
-    speedup would be a meaningless ~1.0x.
+    records whether the native C kernel loaded: without it the host runs
+    the wheel engine and there is no array arm, so the record reports
+    the skip instead of a meaningless ~1.0x.
     """
     from repro.sim.array import ArrayNetwork
     from repro.sim.array.native import native_available
 
     topo = topo if topo is not None else default_dragonfly()
     pattern = UniformRandom(topo)
-    wheel_params = SimParams(window_cycles=window_cycles)
-    array_params = SimParams(window_cycles=window_cycles, engine="array")
+    params = SimParams(window_cycles=window_cycles)
+    record: Dict = {
+        "topology": str(topo),
+        "routing": routing,
+        "load": load,
+        "window_cycles": window_cycles,
+        "baseline_engine": "wheel",
+        "optimized_engine": "array",
+        "backend": "native" if native_available() else "fallback",
+    }
+    if record["backend"] != "native":
+        record["skipped"] = "native kernel unavailable"
+        record["identical_results"] = True
+        return record
 
     best_wheel, best_arr = float("inf"), float("inf")
     cycles_wheel = cycles_arr = 0
     result_wheel = result_arr = None
     for _ in range(repeats):
-        elapsed, cycles_wheel, result_wheel = _time_steps(
-            topo, pattern, load, routing, wheel_params, seed
-        )
+        with wheel_engine():
+            elapsed, cycles_wheel, result_wheel = _time_steps(
+                topo, pattern, load, routing, params, seed
+            )
         best_wheel = min(best_wheel, elapsed)
         elapsed, cycles_arr, result_arr = _time_steps(
-            topo, pattern, load, routing, array_params, seed,
-            cls=ArrayNetwork,
+            topo, pattern, load, routing, params, seed, cls=ArrayNetwork,
         )
         best_arr = min(best_arr, elapsed)
 
     return {
-        "topology": str(topo),
-        "routing": routing,
-        "load": load,
-        "window_cycles": window_cycles,
+        **record,
         "engine_cycles": cycles_arr,
-        "baseline_engine": "wheel",
-        "optimized_engine": "array",
-        "backend": "native" if native_available() else "fallback",
         "baseline_cycles_per_sec": cycles_wheel / best_wheel,
         "optimized_cycles_per_sec": cycles_arr / best_arr,
         "speedup": (cycles_arr / best_arr) / (cycles_wheel / best_wheel),
@@ -478,7 +506,7 @@ def bench_batch(
 
     topo = topo if topo is not None else default_dragonfly()
     pattern = UniformRandom(topo)
-    params = SimParams(window_cycles=window_cycles, engine="array")
+    params = SimParams(window_cycles=window_cycles)
     record: Dict = {
         "topology": str(topo),
         "routing": routing,
@@ -506,7 +534,7 @@ def bench_batch(
     simulate_batch(
         [RunSpec.from_objects(
             topo, pattern, load, routing=routing, policy=None,
-            params=SimParams(window_cycles=1, engine="array"), seed=0,
+            params=SimParams(window_cycles=1), seed=0,
         )]
     )
     for size in batch_sizes:
@@ -1008,10 +1036,14 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"{eng['optimized_cycles_per_sec']:.0f} cycles/s "
           f"({eng['speedup']:.2f}x, identical={eng['identical_results']})")
     arr = record["array_microbench"]
-    print(f"array ({arr['backend']}): "
-          f"{arr['baseline_cycles_per_sec']:.0f} -> "
-          f"{arr['optimized_cycles_per_sec']:.0f} cycles/s "
-          f"({arr['speedup']:.2f}x, identical={arr['identical_results']})")
+    if arr.get("skipped"):
+        print(f"array: skipped ({arr['skipped']})")
+    else:
+        print(f"array ({arr['backend']}): "
+              f"{arr['baseline_cycles_per_sec']:.0f} -> "
+              f"{arr['optimized_cycles_per_sec']:.0f} cycles/s "
+              f"({arr['speedup']:.2f}x, "
+              f"identical={arr['identical_results']})")
     bat = record["batch_microbench"]
     if bat.get("skipped"):
         print(f"batch: skipped ({bat['skipped']})")

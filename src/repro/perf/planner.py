@@ -16,20 +16,20 @@ where batching is *profitable*:
 
 * eligible payloads are declarative ``RunSpec``s (live-object tasks
   cannot cross ``simulate_batch``'s validation), uninstrumented
-  (``params.obs is None``), not explicit legacy-oracle requests, not
-  opted out via ``params.batch == 1``, and MIN-routed -- MIN is the
-  variant with a fully vectorized injection fast path (measured ~2.4x
-  end-to-end per run at batch 8).  The adaptive variants spend their
-  time in per-packet routing decisions that batching cannot amortize
-  (measured 0.87-1.03x, i.e. neutral to slightly negative from cache
-  interleaving), so they keep the single-run path;
+  (``params.obs is None``), and MIN-routed -- MIN is the variant with a
+  fully vectorized injection path (measured ~2.4x end-to-end per run at
+  batch 8), and the only one ``simulate_batch`` accepts.  The adaptive
+  variants spend their time in per-packet routing decisions that
+  batching cannot amortize (measured 0.87-1.03x, i.e. neutral to
+  slightly negative from cache interleaving), so they keep the
+  single-run path;
 * eligible payloads group by (topology, routing, policy) -- the
   compatibility contract of ``simulate_batch``; seed, load, pattern and
   measurement windows may differ within a group (ragged completion);
-* groups chunk to ``max_batch`` (default 16), lowered by any member's
-  ``params.batch`` hint, and -- when the executor runs a process pool --
-  spread so every worker gets work instead of one worker hoarding a
-  giant batch.
+* groups chunk to ``max_batch`` (default 16; the executor's ``batch``
+  knob sets it) and -- when the executor runs a process pool -- spread
+  so every worker gets work instead of one worker hoarding a giant
+  batch.
 
 The native-kernel check lives in ``simulate_batch`` itself (workers may
 see a different toolchain than the parent); a unit that raises
@@ -74,14 +74,9 @@ class BatchPlanner:
         """Can (and should) this payload join a batched unit?"""
         if not isinstance(payload, RunSpec):
             return False
-        params = payload.params
-        if params.obs is not None or params.engine == "legacy":
+        if payload.params.obs is not None:
             return False
-        if params.batch == 1:
-            return False
-        base = payload.routing.lower()
-        base = base[2:] if base.startswith("t-") else base
-        return base == "min"
+        return payload.routing.lower() == "min"
 
     @staticmethod
     def _group_key(payload: RunSpec) -> Tuple:
@@ -114,10 +109,6 @@ class BatchPlanner:
         # first index regardless of grouping order
         for indices in groups.values():
             cap = self.max_batch
-            for i in indices:
-                hint = payloads[i].params.batch
-                if hint > 1:
-                    cap = min(cap, hint)
             if self.jobs > 1:
                 # spread the group across the pool: a single giant unit
                 # would serialize on one worker while the rest idle

@@ -45,7 +45,6 @@ __all__ = [
     "ExcludingPolicy",
     "ExplicitPathSet",
     "reset_sample_memo",
-    "swap_sample_memo",
 ]
 
 _SAMPLE_ATTEMPTS = 128
@@ -68,22 +67,6 @@ def reset_sample_memo() -> None:
     which also makes serial and process-pool sweeps bit-identical.
     """
     _sparse_memo.clear()
-
-
-def swap_sample_memo(memo: dict) -> dict:
-    """Install ``memo`` as the live reservoir memo, returning the old one.
-
-    The batched driver (:mod:`repro.sim.batch`) interleaves several
-    runs in one process; because reservoir contents depend on the rng
-    that populated them, each run owns a private memo dict and swaps it
-    in around its injection/revision slices -- the batched equivalent of
-    the fresh-memo-per-run guarantee :func:`reset_sample_memo` gives
-    ``simulate()``.
-    """
-    global _sparse_memo
-    old = _sparse_memo
-    _sparse_memo = memo
-    return old
 
 
 def _mix(seed: int, src: int, dst: int, desc: VlbDescriptor) -> int:

@@ -1,4 +1,5 @@
-"""Struct-of-arrays batched simulation engine (``SimParams.engine="array"``).
+"""Struct-of-arrays batched simulation engine (the host default whenever
+the native kernel loads; see ``repro.sim.engine.build_network``).
 
 See :mod:`repro.sim.array.network` for the engine and its parity
 contract, and :mod:`repro.sim.array.native` for the on-demand native

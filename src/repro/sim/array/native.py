@@ -9,9 +9,11 @@ sandbox/CI images both ship a C compiler.
 Environment gate ``REPRO_ARRAYNET_NATIVE``:
 
 * unset (default) -- try to build/load; on any failure log one warning
-  and report the kernel as unavailable (ArrayNetwork then falls back to
-  the bit-identical scalar wheel path, see ``repro.sim.array.network``);
-* ``0`` / ``off`` / ``no`` / ``false`` -- never attempt the native path;
+  and report the kernel as unavailable (``build_network`` then runs the
+  bit-identical timing-wheel engine, see ``repro.sim.engine``);
+* ``0`` / ``off`` / ``no`` / ``false`` -- never attempt the native path
+  (the host runs the wheel engine; tests and benchmarks use this to
+  reach the parity reference);
 * ``require`` -- raise :class:`NativeKernelUnavailable` instead of
   falling back (CI perf gates use this to fail loudly).
 
@@ -298,8 +300,8 @@ def load_kernel() -> Optional[ctypes.CDLL]:
         if gate == "require":
             raise
         _log.warning(
-            "native array kernel unavailable (%s); ArrayNetwork falls "
-            "back to the scalar wheel path (bit-identical, slower)",
+            "native array kernel unavailable (%s); simulations run on "
+            "the timing-wheel engine (bit-identical, slower)",
             exc,
         )
         return None

@@ -1,11 +1,12 @@
 """ArrayNetwork: struct-of-arrays batched cycle engine.
 
-The third engine behind the :class:`repro.sim.network.Network` interface
-(``SimParams.engine="array"``).  All flit/credit/VC state lives in numpy
-struct-of-arrays -- per-channel credit tables, output-queue rings, router
-input-buffer rings, sorted active-slot tables, and fixed-capacity timing
-wheels -- and the per-cycle phases are advanced for the whole network per
-call:
+The engine behind the :class:`repro.sim.network.Network` interface that
+``repro.sim.engine.build_network`` picks whenever the native kernel
+loads (the timing-wheel ``Network`` runs otherwise).  All flit/credit/VC
+state lives in numpy struct-of-arrays -- per-channel credit tables,
+output-queue rings, router input-buffer rings, sorted active-slot
+tables, and fixed-capacity timing wheels -- and the per-cycle phases are
+advanced for the whole network per call:
 
 * the hot path is the native kernel (``kernel.c``, built on demand by
   :mod:`repro.sim.array.native`), a bit-exact transliteration of the
@@ -22,10 +23,12 @@ call:
   delivery-bucket order, which is exactly the wheel engine's call order
   (this is the documented scalar path: exact RNG-order parity is
   infeasible inside a blindly vectorized arbitration step, so arbitration
-  is kept scalar-exact and revisions stay in Python);
-* when no C compiler is available (gate ``REPRO_ARRAYNET_NATIVE``), the
-  engine transparently falls back to the inherited scalar wheel path --
-  bit-identical by definition, slower, and logged once.
+  is kept scalar-exact and revisions stay in Python).
+
+The kernel is required: constructing an ``ArrayNetwork`` without one
+(no C compiler, or gate ``REPRO_ARRAYNET_NATIVE=0``) raises
+:class:`~repro.sim.array.native.NativeKernelUnavailable`.  The choice of
+the wheel engine on such hosts is made once, in ``build_network``.
 
 Because ejections are buffered lazily, callers that drive ``step()``
 directly must call :meth:`finalize` before reading final statistics
@@ -34,7 +37,7 @@ preserved exactly, only the hook call *time* is deferred.
 
 Results are bit-identical to the wheel engine and ``LegacyNetwork``
 across seed x routing x load (pinned by ``tests/test_array_engine.py``),
-which is why ``SimParams.engine`` is identity-neutral: all engines share
+which is why the engine choice never reaches identity: all engines share
 cache entries and spec fingerprints.
 """
 
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import ctypes
 import mmap
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -57,6 +60,7 @@ from repro.sim.array.native import (
     COUNTERS_LEN,
     PK_STRIDE,
     CState,
+    NativeKernelUnavailable,
     POINTER_FIELD_NAMES,
     SCALAR_FIELDS,
     load_kernel,
@@ -106,25 +110,20 @@ def _alloc(shape, dtype) -> np.ndarray:
 
 
 class ArrayChannel(SimChannel):
-    """A SimChannel whose live state may reside in the SoA arrays.
+    """A SimChannel whose live state resides in the SoA arrays.
 
     Construction is identical to :class:`SimChannel` (ArrayNetwork reuses
     the whole inherited topology build); afterwards the network assigns
-    every channel its array ``index`` and, in native mode, a back
-    reference so :meth:`load_metric` -- the UGAL congestion estimate read
-    per routing decision -- answers from the arrays the kernel updates.
-    In fallback mode the back reference stays ``None`` and the inherited
-    deque/credit state remains authoritative.
+    every channel its array ``index`` and a back reference so
+    :meth:`load_metric` -- the UGAL congestion estimate read per routing
+    decision -- answers from the arrays the kernel updates.
     """
 
     __slots__ = ("index", "_anet")
 
     def load_metric(self) -> int:
-        net = self._anet
-        if net is None:
-            return SimChannel.load_metric(self)
         i = self.index
-        soa = net._S
+        soa = self._anet._S
         return (
             int(soa.out_len[i])
             + self.credit_capacity
@@ -150,14 +149,19 @@ class ArrayNetwork(Network):
     """Struct-of-arrays engine behind the Network interface."""
 
     channel_cls = ArrayChannel
+    engine_name = "array"
+    # the step implementation, recorded by the benchmarks
+    backend = "native"
 
     def __init__(self, topo, params, num_vcs: int) -> None:
+        kernel = load_kernel()
+        if kernel is None:
+            raise NativeKernelUnavailable(
+                "ArrayNetwork needs the native kernel; build_network "
+                "runs the wheel Network on hosts without one"
+            )
         super().__init__(topo, params, num_vcs)
-        self._S: Optional[_SoA] = None
-        self._kernel = load_kernel()
-        # channel index assignment happens in both modes so ArrayChannel
-        # slots are always initialized; the SoA is built only in native
-        # mode (fallback keeps the inherited wheel structures live)
+        self._kernel = kernel
         # repro: allow[DET102]: self.channels is insertion-ordered by the
         # deterministic topology construction; index order is part of the
         # SoA layout contract
@@ -167,17 +171,11 @@ class ArrayNetwork(Network):
         ordered += self.eject_channels
         for i, channel in enumerate(ordered):
             channel.index = i
-            channel._anet = None
-        if self._kernel is None:
-            return
+            channel._anet = self
         self._build_soa(ordered)
-        for channel in ordered[: self._num_switch_channels]:
-            channel._anet = self
-        for channel in self.eject_channels:
-            channel._anet = self
 
     # ------------------------------------------------------------------
-    # SoA construction (native mode only)
+    # SoA construction
     # ------------------------------------------------------------------
     def _build_soa(self, ordered: List[SimChannel]) -> None:
         topo = self.topo
@@ -193,7 +191,7 @@ class ArrayNetwork(Network):
         psize = params.packet_size
 
         S = _SoA()
-        self._S = S
+        self._S: _SoA = S
         # --- static per-channel tables (array order = insertion order) ---
         S.ch_latency = np.array([c.latency for c in ordered], np.int32)
         S.ch_delay = np.array([c.delivery_delay for c in ordered], np.int32)
@@ -388,11 +386,6 @@ class ArrayNetwork(Network):
         for name in SCALAR_FIELDS:
             setattr(st, name, self._scalars[name])
 
-    @property
-    def backend(self) -> str:
-        """Which step implementation is live: ``native`` or fallback."""
-        return "native" if self._S is not None else "wheel-fallback"
-
     # ------------------------------------------------------------------
     # Growth (Python-side only; the kernel never allocates)
     # ------------------------------------------------------------------
@@ -450,7 +443,7 @@ class ArrayNetwork(Network):
         self._sync_struct()
 
     # ------------------------------------------------------------------
-    # Injection (native) -- mirrors Network.inject over the arrays
+    # Injection -- mirrors Network.inject over the arrays
     # ------------------------------------------------------------------
     def _register_route(self, route, vcs) -> int:
         """Intern a route (channel/VC lists) into the arena, memoized.
@@ -489,9 +482,6 @@ class ArrayNetwork(Network):
         threads through to ``pmeta``.
         """
         S = self._S
-        if S is None:
-            super().inject(packet)
-            return
         path_hops = packet.path_hops
         # empty routes (intra-switch pairs) never touch the arena
         off = self._register_route(packet.route, packet.vcs) if path_hops else 0
@@ -604,14 +594,10 @@ class ArrayNetwork(Network):
         S.src_len[src_nodes] = lens + 1
 
     # ------------------------------------------------------------------
-    # Per-cycle step (native)
+    # Per-cycle step
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Advance one cycle (deliver -> crossbar -> transmit)."""
-        S = self._S
-        if S is None:
-            super().step()
-            return
         cycle = self.cycle
         skip_credits = self.pre_step()
         rc = self._step_native(self._cstate_ref, cycle, skip_credits)
@@ -661,8 +647,6 @@ class ArrayNetwork(Network):
 
     def finalize(self) -> None:
         """Flush buffered ejections so statistics hooks are complete."""
-        if self._S is None:
-            return
         self._flush_ejections()
 
     def _apply_credit_bucket(self, idx: int) -> None:
@@ -774,19 +758,12 @@ class ArrayNetwork(Network):
     # Introspection / observability (vectorized over the arrays)
     # ------------------------------------------------------------------
     def source_queue_len(self, node: int) -> int:
-        if self._S is None:
-            return super().source_queue_len(node)
         return int(self._S.src_len[node])
 
     def reset_channel_counters(self) -> None:
-        if self._S is None:
-            super().reset_channel_counters()
-            return
         self._S.flits[:] = 0
 
     def channel_utilization(self, cycles: int) -> Dict[str, float]:
-        if self._S is None:
-            return super().channel_utilization(cycles)
         S = self._S
         nSw = self._num_switch_channels
         flits = S.flits[:nSw]
@@ -806,8 +783,6 @@ class ArrayNetwork(Network):
         }
 
     def channel_flit_totals(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self._S is None:
-            return super().channel_flit_totals()
         S = self._S
         nSw = self._num_switch_channels
         flits = S.flits[:nSw]
@@ -818,8 +793,6 @@ class ArrayNetwork(Network):
         )
 
     def vc_occupancy(self) -> List[int]:
-        if self._S is None:
-            return super().vc_occupancy()
         return (
             self._S.in_len.reshape(-1, self.num_vcs)
             .sum(axis=0, dtype=np.int64)
@@ -827,13 +800,9 @@ class ArrayNetwork(Network):
         )
 
     def injection_backlog(self) -> int:
-        if self._S is None:
-            return super().injection_backlog()
         return int(self._S.src_len.sum())
 
     def in_flight(self) -> int:
-        if self._S is None:
-            return super().in_flight()
         S = self._S
         return (
             int(S.counters[CNT_PD])
@@ -843,8 +812,6 @@ class ArrayNetwork(Network):
         )
 
     def quiescent(self) -> bool:
-        if self._S is None:
-            return super().quiescent()
         counters = self._S.counters
         return (
             not counters[CNT_PT]

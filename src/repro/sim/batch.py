@@ -1,8 +1,9 @@
-"""Batched multi-run driver: advance B independent runs in lockstep.
+"""Batched multi-run driver: advance B independent MIN runs in lockstep.
 
-``simulate_batch([spec, ...])`` produces, for every :class:`RunSpec` in
-the batch, a result **bit-identical** to ``simulate(spec)`` on the array
-engine -- batching is a scheduling change, never an algorithm change.
+``simulate_batch([spec, ...])`` produces, for every MIN-routed
+:class:`RunSpec` in the batch, a result **bit-identical** to
+``simulate(spec)`` -- batching is a scheduling change, never an
+algorithm change.
 One ``repro_step_batch`` kernel call advances every run one cycle
 (run-major: each run's struct-of-arrays state stays contiguous, so
 per-run cache behavior matches the single-run kernel), and the per-cycle
@@ -18,12 +19,11 @@ Python driver work around it is paid once per batch:
   per cycle; only the order-pinned rng draws (one ``integers(k)`` per
   multi-candidate packet, in packet order -- exactly the draws
   ``RoutingAlgorithm._random_min`` makes) stay scalar.
-* **Generic fallback.**  Every other variant (VLB/UGAL/PAR and the T-
-  forms) runs the engine's own per-packet injection loop verbatim, per
-  run, still sharing the batched kernel call.  Their VLB candidate
-  caches are rng-dependent, so each run owns a private sparse-sampling
-  memo swapped in around its injection/revision slices
-  (:func:`repro.routing.pathset.swap_sample_memo`).
+
+Only MIN batches: the adaptive variants spend their time in per-packet
+routing decisions that batching cannot amortize, so
+:class:`~repro.perf.planner.BatchPlanner` never sends them here and
+``simulate_batch`` refuses them with :class:`BatchUnsupported`.
 
 Runs may differ in seed, load, pattern, and measurement params; runs
 with fewer total cycles finish early and are compacted out of the batch
@@ -43,10 +43,8 @@ import numpy as np
 
 from repro.obs import Tracer
 from repro.routing.minimal import min_paths
-from repro.routing.pathset import swap_sample_memo
 from repro.sim.array import ArrayNetwork
-from repro.sim.array.native import CState
-from repro.sim.packet import Packet
+from repro.sim.array.native import CState, load_kernel
 from repro.sim.params import SimParams
 from repro.sim.routing import make_routing
 from repro.sim.stats import SimResult, StatsCollector
@@ -140,12 +138,13 @@ def _min_table(topo, network: ArrayNetwork, vc_scheme: str,
 
 # ----------------------------------------------------------------------
 class _Run:
-    """One batch member: network + routing + stats + private rng state."""
+    """One batch member: network + routing + stats + private rng state,
+    plus the shared MIN table interned into its network's route arena."""
 
     __slots__ = (
         "spec", "pattern", "load", "routing", "policy", "params", "seed",
-        "net", "rng", "algo", "stats", "memo", "swaps_memo", "scheduled",
-        "warmup", "total", "offs", "table", "slot", "result",
+        "net", "rng", "algo", "stats", "warmup", "total", "table", "offs",
+        "slot",
     )
 
     def __init__(self, spec, topo) -> None:
@@ -159,7 +158,6 @@ class _Run:
         self.params: SimParams = spec.params
         self.seed = spec.seed
         base = self.routing.lower()
-        base = base[2:] if base.startswith("t-") else base
         num_vcs = self.params.vcs_required(base, topo.max_local_hops)
         if self.params.verify:
             from repro.verify import verify_config
@@ -188,16 +186,17 @@ class _Run:
         self.net.on_eject = self.stats.record_ejection
         self.net.on_eject_batch = self.stats.record_ejection_batch
         self.net.on_arrival = self.algo.revise_at
-        # private sparse-sampling reservoir memo: the batched equivalent
-        # of simulate()'s reset_sample_memo() purity guarantee
-        self.memo: dict = {}
-        self.swaps_memo = base != "min"
-        self.scheduled = getattr(self.pattern, "scheduled", False)
         self.warmup = self.params.warmup_cycles
         self.total = self.params.total_cycles
-        self.offs: Optional[np.ndarray] = None  # MIN fast path arena map
+        self.table = _min_table(
+            topo, self.net, self.params.vc_scheme, num_vcs
+        )
+        # per-slot arena offsets of the table's routes in this network
+        self.offs = (
+            self.net.intern_route(self.table.chan, self.table.vc)
+            + self.table.rel
+        )
         self.slot = 0
-        self.result: Optional[SimResult] = None
 
 
 def _check_compatible(specs) -> None:
@@ -206,6 +205,10 @@ def _check_compatible(specs) -> None:
     first = specs[0]
     if not isinstance(first, RunSpec):
         raise BatchUnsupported("batched runs require declarative RunSpecs")
+    if first.routing.lower() != "min":
+        raise BatchUnsupported(
+            "only MIN-routed runs take the batched path"
+        )
     topo_d = first.topology.to_dict()
     routing = first.routing
     pol_d = first.policy.to_dict() if first.policy is not None else None
@@ -228,10 +231,6 @@ def _check_compatible(specs) -> None:
             raise BatchUnsupported(
                 "observability-instrumented runs take the single-run path"
             )
-        if spec.params.engine == "legacy":
-            raise BatchUnsupported(
-                "engine='legacy' is an explicit oracle request"
-            )
 
 
 def simulate_batch(
@@ -240,13 +239,14 @@ def simulate_batch(
     tracer: Optional[Tracer] = None,
     on_result: Optional[Callable[[int, SimResult], None]] = None,
 ) -> List[SimResult]:
-    """Run every ``RunSpec`` in ``specs`` lockstep on the array engine.
+    """Run every MIN ``RunSpec`` in ``specs`` lockstep on the array engine.
 
     Returns results in spec order, each bit-identical to
     ``simulate(spec)``.  Raises :class:`BatchUnsupported` when the batch
-    cannot take this path (non-spec payloads, mixed topology/routing,
-    observability-instrumented runs, or no native kernel); callers fall
-    back to per-run ``simulate()`` and lose only the speedup.
+    cannot take this path (non-spec payloads, non-MIN routing, mixed
+    topology/routing, observability-instrumented runs, or no native
+    kernel); callers fall back to per-run ``simulate()`` and lose only
+    the speedup.
     ``on_result(index, result)`` fires as each run completes (ragged
     batches complete out of spec order).
     """
@@ -254,6 +254,11 @@ def simulate_batch(
     if not specs:
         return []
     _check_compatible(specs)
+    kernel = load_kernel()
+    if kernel is None:
+        raise BatchUnsupported(
+            "native array kernel unavailable on this host"
+        )
     topo = specs[0].topology.build()
     # repro: allow[DET104]: wall_seconds is runtime metadata on the
     # manifest, never part of result identity or cache keys
@@ -261,31 +266,18 @@ def simulate_batch(
     runs = [_Run(spec, topo) for spec in specs]
     for i, run in enumerate(runs):
         run.slot = i
-    if any(run.net.backend != "native" for run in runs):
-        raise BatchUnsupported(
-            "native array kernel unavailable on this host"
-        )
-    kernel = runs[0].net._kernel
+    # looked up after the networks exist, so a wrapper installed on the
+    # kernel while they were built (profilers, benchmarks) is honoured
     batch_step = kernel.repro_step_batch
 
-    base = specs[0].routing.lower()
-    fast_min = base == "min" and all(not r.scheduled for r in runs)
     nsw = topo.num_switches
     num_nodes = topo.num_nodes
     nodes = np.arange(num_nodes)
-    if fast_min:
-        sw_of = np.fromiter(
-            (topo.switch_of_node(n) for n in range(num_nodes)),
-            np.int64,
-            num_nodes,
-        )
-        for run in runs:
-            table = _min_table(
-                topo, run.net, run.params.vc_scheme, run.net.num_vcs
-            )
-            run.table = table  # type: ignore[attr-defined]
-            base_off = run.net.intern_route(table.chan, table.vc)
-            run.offs = base_off + table.rel
+    sw_of = np.fromiter(
+        (topo.switch_of_node(n) for n in range(num_nodes)),
+        np.int64,
+        num_nodes,
+    )
 
     if tracer is not None:
         tracer.record(
@@ -306,18 +298,10 @@ def simulate_batch(
 
     for cycle in range(max_total):
         for i, run in enumerate(active):
-            prev = swap_sample_memo(run.memo) if run.swaps_memo else None
-            try:
-                if cycle == run.warmup:
-                    run.net.reset_channel_counters()
-                if fast_min:
-                    _inject_min(run, cycle, nodes, sw_of, nsw)
-                else:
-                    _inject_generic(run, cycle, nodes)
-                skips[i] = run.net.pre_step()
-            finally:
-                if prev is not None:
-                    swap_sample_memo(prev)
+            if cycle == run.warmup:
+                run.net.reset_channel_counters()
+            _inject_min(run, cycle, nodes, sw_of, nsw)
+            skips[i] = run.net.pre_step()
         rc = int(batch_step(ptrs, len(active), cycle, skips))
         if rc:
             run = active[rc % 1000]
@@ -355,7 +339,7 @@ def simulate_batch(
 
 
 # ----------------------------------------------------------------------
-# Injection paths
+# Injection
 # ----------------------------------------------------------------------
 def _inject_min(run: _Run, cycle: int, nodes, sw_of, nsw: int) -> None:
     """Vectorized MIN injection: bit-identical to the engine's loop.
@@ -385,7 +369,7 @@ def _inject_min(run: _Run, cycle: int, nodes, sw_of, nsw: int) -> None:
     ssw = sw_of[srcs]
     dsw = sw_of[dests]
     pairs = ssw * nsw + dsw
-    table = run.table  # type: ignore[attr-defined]
+    table = run.table
     ks = np.where(ssw == dsw, 0, table.k[pairs])
     slots = table.first[pairs]
     multi = np.nonzero(ks > 1)[0]
@@ -399,43 +383,6 @@ def _inject_min(run: _Run, cycle: int, nodes, sw_of, nsw: int) -> None:
     offs = np.where(picked, run.offs[slots], 0)
     run.algo.min_chosen += m
     run.net.inject_batch(srcs, hops, vcs0, dests, offs, cycle)
-
-
-def _inject_generic(run: _Run, cycle: int, nodes) -> None:
-    """The engine's per-packet injection loop, verbatim, for one run."""
-    net = run.net
-    algo = run.algo
-    pattern = run.pattern
-    if run.scheduled:
-        for src, dst in pattern.injections_at(cycle):
-            if src == dst:
-                continue
-            if net.source_queue_len(src) >= _MAX_SOURCE_QUEUE:
-                continue
-            packet = Packet(src, int(dst), cycle)
-            algo.route_packet(packet)
-            net.inject(packet)
-        return
-    load = run.load
-    if load <= 0.0:
-        return
-    rng = run.rng
-    draws = rng.random(nodes.size) < load
-    srcs = nodes[draws]
-    if not srcs.size:
-        return
-    dests = pattern.sample_destinations(srcs, rng)
-    batch = []
-    for src, dst in zip(srcs.tolist(), dests.tolist()):
-        if dst == NO_TRAFFIC:
-            continue
-        if net.source_queue_len(src) >= _MAX_SOURCE_QUEUE:
-            continue
-        batch.append(Packet(src, int(dst), cycle))
-    if batch:
-        algo.route_packets(batch)
-        for packet in batch:
-            net.inject(packet)
 
 
 def _finish(
@@ -463,6 +410,7 @@ def _finish(
     # repro: allow[DET104]: wall_seconds is runtime metadata
     manifest.wall_seconds = time.perf_counter() - wall_start
     manifest.engine_cycles = run.total
+    manifest.engine = run.net.engine_name
     manifest.batch_size = batch_size
     manifest.batch_slot = run.slot
     result.manifest = manifest

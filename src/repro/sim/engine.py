@@ -27,6 +27,7 @@ from repro.obs import (
 )
 from repro.obs.manifest import RunManifest
 from repro.routing.pathset import PathPolicy
+from repro.sim.array import ArrayNetwork, load_kernel
 from repro.sim.network import Network
 from repro.sim.packet import Packet
 from repro.sim.params import SimParams
@@ -95,27 +96,20 @@ def build_network(
     params: SimParams,
     routing_variant: str,
 ) -> Network:
-    """Construct a :class:`Network` sized for the routing variant's VCs.
+    """Construct the cycle engine, sized for the routing variant's VCs.
 
-    ``params.engine`` selects the implementation behind the shared
-    interface: the timing-wheel default, the struct-of-arrays batched
-    engine (``repro.sim.array``), or the seed-faithful legacy oracle.
-    All three are bit-identical (the knob is identity-neutral), so the
-    choice is purely a performance decision.
+    The host picks the engine, not the caller: the struct-of-arrays
+    :class:`~repro.sim.array.ArrayNetwork` when the native kernel loads
+    (:func:`~repro.sim.array.native.load_kernel`), the timing-wheel
+    :class:`Network` otherwise.  Both are bit-identical, so the choice
+    is purely a performance decision and never reaches result identity;
+    ``REPRO_ARRAYNET_NATIVE=0`` forces the wheel (the parity reference).
     """
     name = routing_variant.lower()
     base = name[2:] if name.startswith("t-") else name
     num_vcs = params.vcs_required(base, topo.max_local_hops)
-    engine = params.engine
-    if engine == "array":
-        from repro.sim.array import ArrayNetwork
-
+    if load_kernel() is not None:
         return ArrayNetwork(topo, params, num_vcs)
-    if engine == "legacy":
-        # lazy: the oracle lives in the bench harness, above repro.sim
-        from repro.perf.bench import LegacyNetwork
-
-        return LegacyNetwork(topo, params, num_vcs)
     # the module-global name, not a direct class reference:
     # repro.perf.bench.legacy_engine() monkeypatches it for A/B timing
     return Network(topo, params, num_vcs)
@@ -325,6 +319,7 @@ def simulate(
     )
     manifest.wall_seconds = wall_seconds
     manifest.engine_cycles = total_cycles
+    manifest.engine = network.engine_name
     if registry.enabled:
         manifest.metrics = registry.snapshot()
     result.manifest = manifest

@@ -168,17 +168,6 @@ class Router:
     def slot(self, port: int, vc: int) -> int:
         return port * self.num_vcs + vc
 
-    def activate(self, slot: int) -> None:
-        """Mark an input slot occupied (caller ensures it was empty)."""
-        insort(self.active, slot)
-
-    def deactivate(self, slot: int) -> None:
-        """Mark an input slot drained."""
-        active = self.active
-        i = bisect_left(active, slot)
-        if i < len(active) and active[i] == slot:
-            active.pop(i)
-
 
 class Network:
     """Builds the simulation network for a topology and runs cycles.
@@ -192,6 +181,8 @@ class Network:
     # seed-faithful variants to measure the data-structure speedup)
     channel_cls = SimChannel
     router_cls = Router
+    # which engine ran, recorded in RunManifest.engine
+    engine_name = "wheel"
 
     def __init__(
         self, topo: Dragonfly, params: SimParams, num_vcs: int

@@ -54,21 +54,6 @@ class SimParams:
     # Identity-neutral: excluded from spec fingerprints and cache keys
     # (see identity_dict), because observability never changes results
     obs: Optional[ObsConfig] = None  # repro: identity-neutral
-    # cycle-engine implementation: "wheel" (timing-wheel default),
-    # "array" (struct-of-arrays batched core, repro.sim.array), or
-    # "legacy" (seed-faithful oracle in repro.perf.bench).  All three are
-    # bit-identical by construction (pinned by the parity suite), so the
-    # knob is identity-neutral -- unlike the LP model's engine switch,
-    # where fast/legacy genuinely differ numerically and the engine is
-    # part of the ModelSpec identity
-    engine: str = "wheel"  # repro: identity-neutral
-    # batched-execution scheduling hint (repro.perf.BatchPlanner):
-    # 0 = planner default, 1 = never batch this run, N > 1 = cap the
-    # batch this run joins at N.  Pure scheduling -- a batched run is
-    # bit-identical to its single-run result (pinned by the batch parity
-    # suite), so like ``engine`` the knob is identity-neutral: it never
-    # reaches spec fingerprints or cache keys
-    batch: int = 0  # repro: identity-neutral
 
     # --- measurement (paper: 3 x 10000 warmup + 10000 measurement) ---
     warmup_windows: int = 3
@@ -97,28 +82,20 @@ class SimParams:
                 "packet_size cannot exceed buffer_size (virtual cut-through "
                 "buffers whole packets)"
             )
-        if self.engine not in ("wheel", "array", "legacy"):
-            raise ValueError("engine must be 'wheel', 'array' or 'legacy'")
-        if self.batch < 0:
-            raise ValueError("batch must be >= 0 (0 = planner default)")
 
     def identity_dict(self) -> Dict[str, Any]:
         """The fields that define this configuration's *identity*.
 
-        ``dataclasses.asdict`` minus ``obs``, ``engine``, and ``batch``:
-        observability never changes simulation results (asserted by the
-        engine-parity tests), every cycle engine is bit-identical
-        (asserted by the cross-engine parity suite), and batched
-        execution is bit-identical to single-run execution (asserted by
-        the batch parity suite), so all three are excluded from every
-        spec fingerprint and cache key -- traced/untraced, any-engine,
-        and batched/unbatched runs of one point all share a single
-        cache entry.
+        ``dataclasses.asdict`` minus ``obs``: observability never changes
+        simulation results (asserted by the engine-parity tests), so it
+        is excluded from every spec fingerprint and cache key -- traced
+        and untraced runs of one point share a single cache entry.  The
+        cycle engine and batched execution are not fields at all: the
+        host picks the engine (``repro.sim.engine.build_network``) and
+        the executor picks batching, both bit-identical by construction.
         """
         data = asdict(self)
         data.pop("obs", None)
-        data.pop("engine", None)
-        data.pop("batch", None)
         return data
 
     def with_obs(self, obs: Optional[ObsConfig]) -> "SimParams":

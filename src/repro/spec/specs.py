@@ -327,10 +327,9 @@ class TopologySpec:
 # Run / sweep / suite specs
 # ---------------------------------------------------------------------------
 def _params_from_dict(data: Dict[str, Any]) -> SimParams:
-    # "obs" and "engine" are identity-neutral (never serialized into a
-    # spec dict, see SimParams.identity_dict), so they are not accepted
-    # back either
-    known = {f.name for f in dataclasses.fields(SimParams)} - {"obs", "engine"}
+    # "obs" is identity-neutral (never serialized into a spec dict, see
+    # SimParams.identity_dict), so it is not accepted back either
+    known = {f.name for f in dataclasses.fields(SimParams)} - {"obs"}
     extra = set(data) - known
     if extra:
         raise SpecError(

@@ -1,21 +1,23 @@
 """Batched multi-run engine: bit-parity, planning, and cache identity.
 
-``repro.sim.batch.simulate_batch`` advances B independent array-engine
-runs through shared kernel invocations; ``repro.perf.planner.
-BatchPlanner`` decides which executor payloads ride together.  The whole
-feature rests on one contract: **batching is a pure scheduling decision**.
-Every run in a batch must equal its single-run array result bit for bit
-(full ``SimResult`` equality, not a tolerance), keep its own RunSpec
-fingerprint and cache entry, and differ only in the identity-neutral
-``RunManifest.batch_size``/``batch_slot`` environment fields.  These
-tests pin that contract across routing variants, seeds, batch shapes
+``repro.sim.batch.simulate_batch`` advances B independent MIN-routed
+array-engine runs through shared kernel invocations; ``repro.perf.
+planner.BatchPlanner`` decides which executor payloads ride together.
+The whole feature rests on one contract: **batching is a pure scheduling
+decision**.  Every run in a batch must equal its single-run result bit
+for bit (full ``SimResult`` equality, not a tolerance), keep its own
+RunSpec fingerprint and cache entry, and differ only in the
+identity-neutral ``RunManifest.batch_size``/``batch_slot`` environment
+fields.  These tests pin that contract across seeds, batch shapes
 (including ragged completion), the planner's grouping policy, and the
 executor's fallback when the native kernel is unavailable.
 """
 
 import pytest
 
-from repro.perf.cache import SimCache, fingerprint
+from repro.obs import ObsConfig
+from repro.perf.bench import wheel_engine
+from repro.perf.cache import SimCache
 from repro.perf.executor import SimTask, SweepExecutor
 from repro.perf.planner import BatchPlanner
 from repro.sim import SimParams
@@ -25,36 +27,34 @@ from repro.topology import Dragonfly
 from repro.traffic.patterns import UniformRandom
 
 TOPO = Dragonfly(2, 4, 2, 5)
-ROUTINGS = ["min", "vlb", "ugal-l", "ugal-g", "par"]
 
 
-def _spec(routing, *, seed=0, load=0.2, window=80, batch=0):
+def _spec(routing, *, seed=0, load=0.2, window=80):
     return RunSpec.from_objects(
         TOPO,
         UniformRandom(TOPO),
         load,
         routing=routing,
-        params=SimParams(
-            window_cycles=window, engine="array", batch=batch
-        ),
+        params=SimParams(window_cycles=window),
         seed=seed,
     )
 
 
 # ---------------------------------------------------------------------------
-# Bit-parity: batched == single-run array, full SimResult equality
+# Bit-parity: batched == single-run, full SimResult equality
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("routing", ROUTINGS)
+@pytest.mark.parametrize("routing", ["min"])
 def test_batched_matches_single(routing):
-    """Three seeds per variant ride one batch; every result equals its
-    single-run form (SimResult equality covers every measured field)."""
+    """Three seeds ride one batch; every result equals its single-run
+    form (SimResult equality covers every measured field)."""
     specs = [_spec(routing, seed=seed) for seed in (0, 1, 2)]
     batched = simulate_batch(specs)
     singles = [spec.run() for spec in specs]
     assert batched == singles
+    assert all(r.manifest.engine == "array" for r in batched)
 
 
-@pytest.mark.parametrize("routing", ["min", "ugal-l"])
+@pytest.mark.parametrize("routing", ["min"])
 def test_batched_matches_single_at_high_load(routing):
     """Saturation exercises source-queue caps and deep backpressure --
     the regime where injection filtering could desync RNG streams."""
@@ -94,9 +94,13 @@ def test_single_run_manifest_has_no_batch_fields():
 
 
 def test_incompatible_specs_rejected():
-    """Compatibility contract: topology and routing must match."""
+    """Compatibility contract: topology and routing must match, and
+    only MIN batches (the planner never sends anything else)."""
     with pytest.raises(BatchUnsupported):
         simulate_batch([_spec("min"), _spec("ugal-l")])
+    for routing in ("vlb", "ugal-l", "ugal-g", "par"):
+        with pytest.raises(BatchUnsupported):
+            simulate_batch([_spec(routing, seed=0), _spec(routing, seed=1)])
 
 
 def test_unsupported_without_native_kernel(monkeypatch):
@@ -108,29 +112,23 @@ def test_unsupported_without_native_kernel(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Identity: the batch knob never reaches fingerprints or cache keys
+# Identity: batching never reaches fingerprints or cache keys
 # ---------------------------------------------------------------------------
 def test_fingerprint_ignores_batch_knob():
-    fps = {_spec("min", batch=batch).fingerprint() for batch in (0, 1, 8)}
-    assert len(fps) == 1
-    cache_keys = {
-        fingerprint(
-            TOPO,
-            UniformRandom(TOPO),
-            0.2,
-            routing="min",
-            policy=None,
-            params=SimParams(window_cycles=80, engine="array", batch=b),
-            seed=0,
-        )
-        for b in (0, 1, 8)
-    }
-    assert len(cache_keys) == 1
+    """A batched run's manifest carries the same spec fingerprint and
+    cache key as the single run; only batch_size/batch_slot differ."""
+    specs = [_spec("min", seed=seed) for seed in (0, 1)]
+    batched = simulate_batch(specs)
+    singles = [spec.run() for spec in specs]
+    for spec, b, s in zip(specs, batched, singles):
+        assert b.manifest.spec_fingerprint == spec.fingerprint()
+        assert b.manifest.identity() == s.manifest.identity()
 
 
 def test_cache_sharing_batched_and_single(tmp_path):
-    """A batched run warms the cache for the single-run path and vice
-    versa: both sides key each run by its own RunSpec fingerprint."""
+    """A batched run warms the cache for a single-run wheel sweep and
+    vice versa: both sides key each run by its own RunSpec fingerprint,
+    whatever engine computed it."""
 
     def tasks(seeds):
         return [
@@ -139,7 +137,7 @@ def test_cache_sharing_batched_and_single(tmp_path):
                 UniformRandom(TOPO),
                 0.2,
                 routing="min",
-                params=SimParams(window_cycles=80, engine="array"),
+                params=SimParams(window_cycles=80),
                 seed=seed,
             )
             for seed in seeds
@@ -151,14 +149,19 @@ def test_cache_sharing_batched_and_single(tmp_path):
         assert batched_exec.cache_hits == 0
     assert all(r.manifest.batch_size == 3 for r in stored)
 
-    with SweepExecutor(jobs=1, cache=cache, batch=1) as single_exec:
+    with wheel_engine(), SweepExecutor(
+        jobs=1, cache=cache, batch=1
+    ) as single_exec:
         hits = single_exec.run(tasks(range(3)))
         assert single_exec.cache_hits == 3
     assert hits == stored
 
     # and the reverse direction: single-run entries feed a batched sweep
-    with SweepExecutor(jobs=1, cache=cache, batch=1) as single_exec:
+    with wheel_engine(), SweepExecutor(
+        jobs=1, cache=cache, batch=1
+    ) as single_exec:
         fresh = single_exec.run(tasks(range(3, 5)))
+    assert all(r.manifest.engine == "wheel" for r in fresh)
     with SweepExecutor(jobs=1, cache=cache) as batched_exec:
         again = batched_exec.run(tasks(range(3, 5)))
         assert batched_exec.cache_hits == 2
@@ -173,15 +176,13 @@ def test_planner_eligibility():
     # adaptive variants keep the single-run path (measured neutral to
     # negative under batching -- see the planner docstring)
     assert not BatchPlanner.eligible(_spec("ugal-l"))
-    # per-spec opt-out
-    assert not BatchPlanner.eligible(_spec("min", batch=1))
     # live-object tasks cannot cross simulate_batch's validation
     assert not BatchPlanner.eligible(object())
-    # explicit legacy-oracle requests are never batched
-    legacy = _spec("min").replace(
-        params=SimParams(window_cycles=80, engine="legacy")
+    # instrumented runs take the single-run path
+    traced = _spec("min").replace(
+        params=SimParams(window_cycles=80).with_obs(ObsConfig(metrics=True))
     )
-    assert not BatchPlanner.eligible(legacy)
+    assert not BatchPlanner.eligible(traced)
 
 
 def test_planner_groups_compatible_specs_only():
@@ -191,7 +192,7 @@ def test_planner_groups_compatible_specs_only():
         UniformRandom(other_topo),
         0.2,
         routing="min",
-        params=SimParams(window_cycles=80, engine="array"),
+        params=SimParams(window_cycles=80),
         seed=0,
     )
     payloads = [
@@ -206,12 +207,9 @@ def test_planner_groups_compatible_specs_only():
 
 
 def test_planner_chunks_and_honours_hints():
-    # a member's params.batch hint lowers the whole group's cap
-    payloads = [
-        _spec("min", seed=seed, batch=2 if seed == 0 else 0)
-        for seed in range(5)
-    ]
-    units = BatchPlanner().plan(payloads)
+    # the executor's batch knob (max_batch) caps every group
+    payloads = [_spec("min", seed=seed) for seed in range(5)]
+    units = BatchPlanner(max_batch=2).plan(payloads)
     assert [u.indices for u in units] == [[0, 1], [2, 3], [4]]
 
     # a process pool spreads one big group across the workers
@@ -245,7 +243,7 @@ def _min_tasks(seeds, window=80):
             UniformRandom(TOPO),
             0.2,
             routing="min",
-            params=SimParams(window_cycles=window, engine="array"),
+            params=SimParams(window_cycles=window),
             seed=seed,
         )
         for seed in seeds
@@ -274,7 +272,7 @@ def test_executor_trace_marks_batched_units():
             UniformRandom(TOPO),
             0.2,
             routing="ugal-l",
-            params=SimParams(window_cycles=80, engine="array"),
+            params=SimParams(window_cycles=80),
             seed=0,
         )
     ]
@@ -316,7 +314,7 @@ def test_replicate_matches_seed_loop():
     from repro.sim.engine import simulate
     from repro.sim.replication import replicate
 
-    params = SimParams(window_cycles=60, engine="array")
+    params = SimParams(window_cycles=60)
     stats = replicate(
         TOPO,
         lambda seed: UniformRandom(TOPO),

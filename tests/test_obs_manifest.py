@@ -39,6 +39,7 @@ class TestManifestAttachment:
         assert m.cache == "computed"
         assert m.wall_seconds > 0
         assert m.engine_cycles == SimParams(**SMALL).total_cycles
+        assert m.engine in ("array", "wheel")
         assert m.metrics is None  # metrics were off
 
     def test_metrics_snapshot_lands_on_manifest(self, topo):
@@ -115,10 +116,15 @@ class TestDictRoundTrip:
         m = RunManifest(
             kind="sim", fingerprint="f" * 64, topology="dfly",
             routing="min", load=0.2, seed=9, wall_seconds=1.5,
-            engine_cycles=320, cache="stored", metrics={"c": 1},
+            engine_cycles=320, engine="array", cache="stored",
+            metrics={"c": 1},
         )
         again = RunManifest.from_dict(m.to_dict())
         assert again.to_dict() == m.to_dict()
+        # records written before the engine field existed still load
+        old = m.to_dict()
+        del old["engine"]
+        assert RunManifest.from_dict(old).engine is None
 
     def test_unknown_keys_ignored(self):
         data = RunManifest().to_dict()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.routing.minimal import min_paths
+from repro.sim.array import ArrayNetwork
 from repro.sim.engine import build_network
 from repro.sim.packet import Packet
 from repro.sim.params import SimParams
@@ -12,12 +13,30 @@ from repro.topology import Dragonfly
 
 
 def _drain(network, max_cycles=5000):
-    """Step until nothing is in flight and all credits returned (or fail)."""
+    """Step until nothing is in flight and all credits returned (or fail),
+    then flush buffered hook work (the Network contract before reading
+    ejections)."""
     for _ in range(max_cycles):
         if network.quiescent():
+            network.finalize()
             return network.cycle
         network.step()
     raise AssertionError("network did not drain")
+
+
+def _credits(network, channel):
+    """Per-VC credits of a channel, read from wherever the engine keeps
+    them (the SoA arrays for ArrayNetwork, the channel for the wheel)."""
+    if isinstance(network, ArrayNetwork):
+        return network._S.cred[channel.index].tolist()
+    return channel.credits
+
+
+def _input_queue_lens(network):
+    """Occupancy of every router input buffer, on either engine."""
+    if isinstance(network, ArrayNetwork):
+        return network._S.in_len.tolist()
+    return [len(q) for router in network.routers for q in router.queues]
 
 
 def _send_packets(topo, pairs, params=None, routing="min", policy=None):
@@ -101,7 +120,9 @@ class TestCreditsAndBuffers:
         )
         assert len(ejected) == len(pairs)
         for channel in network.channels.values():
-            assert all(c == params.buffer_size for c in channel.credits)
+            assert all(
+                c == params.buffer_size for c in _credits(network, channel)
+            )
 
     def test_credits_never_negative_nor_overflow(self, topo):
         params = SimParams(window_cycles=60, buffer_size=2)
@@ -120,12 +141,11 @@ class TestCreditsAndBuffers:
                 network.inject(pkt)
             network.step()
             for channel in network.channels.values():
-                for c in channel.credits:
+                for c in _credits(network, channel):
                     assert 0 <= c <= params.buffer_size
         # input buffers never exceed their capacity
-        for router in network.routers:
-            for q in router.queues:
-                assert len(q) <= params.buffer_size
+        for n in _input_queue_lens(network):
+            assert n <= params.buffer_size
 
     def test_tiny_buffers_still_drain(self, topo):
         # stress deadlock freedom with 1-flit buffers and VLB traffic

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim.array import ArrayNetwork
 from repro.sim.engine import build_network
 from repro.sim.packet import Packet
 from repro.sim.params import SimParams
@@ -13,6 +14,14 @@ from repro.topology import Dragonfly
 
 TOPO = Dragonfly(2, 4, 2, 5)  # small: 20 switches, 40 nodes
 PARAMS = SimParams(window_cycles=50, buffer_size=3)
+
+
+def _credits(network, channel):
+    """Per-VC credits of a channel, read from wherever the engine keeps
+    them (the SoA arrays for ArrayNetwork, the channel for the wheel)."""
+    if isinstance(network, ArrayNetwork):
+        return network._S.cred[channel.index].tolist()
+    return channel.credits
 
 
 def _run_random_batch(pairs, routing, seed):
@@ -32,9 +41,13 @@ def _run_random_batch(pairs, routing, seed):
         network.step()
         # invariant: credits within bounds every cycle
         for ch in network.channels.values():
-            assert all(0 <= c <= PARAMS.buffer_size for c in ch.credits)
+            assert all(
+                0 <= c <= PARAMS.buffer_size for c in _credits(network, ch)
+            )
     else:
         raise AssertionError("did not drain")
+    # flush buffered hook work before reading ejections (Network contract)
+    network.finalize()
     return network, ejected
 
 
@@ -61,7 +74,9 @@ class TestConservationProperties:
             assert (pkt.src_node, pkt.dst_node) in pairs
         # all credits restored
         for ch in network.channels.values():
-            assert all(c == PARAMS.buffer_size for c in ch.credits)
+            assert all(
+                c == PARAMS.buffer_size for c in _credits(network, ch)
+            )
 
     @settings(max_examples=8, deadline=None)
     @given(pairs=packet_batches(), seed=st.integers(0, 100))
