@@ -140,7 +140,6 @@ def _make_executor(args, progress=None):
         cache = SimCache(getattr(args, "cache_dir", None))
     return SweepExecutor(
         jobs=getattr(args, "jobs", None), cache=cache, progress=progress,
-        batch=getattr(args, "batch", None),
     )
 
 
@@ -149,12 +148,6 @@ def _exec_args(p, jobs_default=None):
     p.add_argument("--jobs", type=int, default=jobs_default,
                    help="worker processes for independent simulation "
                         "points (default: $REPRO_JOBS or 1)")
-    p.add_argument("--batch", type=int, default=None, metavar="B",
-                   help="MIN-routed runs advanced per kernel call where "
-                        "compatible: 1 disables batching, N>1 caps the "
-                        "batch, 0 lets the planner pick (default: "
-                        "$REPRO_BATCH or planner default; results are "
-                        "bit-identical either way)")
     p.add_argument("--cache", action=argparse.BooleanOptionalAction,
                    default=False,
                    help="reuse simulation results from the on-disk cache "

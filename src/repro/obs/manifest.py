@@ -69,9 +69,9 @@ class RunManifest:
     wall_seconds: Optional[float] = None
     engine_cycles: Optional[int] = None
     # the cycle engine that ran: "array" or "wheel", picked by the host
-    # (repro.sim.engine.build_network), or "legacy" for the benchmark
-    # reference.  Environment, never identity: every engine is
-    # bit-identical.  None on records cached before the field existed
+    # (repro.sim.engine.build_network).  Environment, never identity:
+    # both engines are bit-identical.  None on records cached before
+    # the field existed
     engine: Optional[str] = None
     cache: str = "computed"
     metrics: Optional[Dict[str, Any]] = None

@@ -66,15 +66,19 @@ def default_jobs() -> int:
     CPU-bound workers (BENCH_sim.json once recorded a 0.72x "speedup"
     from jobs=8 on a 1-CPU host), so the environment default can never
     exceed ``os.cpu_count()``.  An explicit ``jobs=`` argument may still
-    force a larger pool, with a warning.
+    force a larger pool, with a warning.  A value that is not an integer
+    raises ``ValueError`` rather than silently running serially.
     """
     cap = os.cpu_count() or 1
     env = os.environ.get("REPRO_JOBS")
     if env:
         try:
-            return min(cap, max(1, int(env)))
+            jobs = int(env)
         except ValueError:
-            pass
+            raise ValueError(
+                f"REPRO_JOBS must be an integer, got {env!r}"
+            ) from None
+        return min(cap, max(1, jobs))
     return 1
 
 
@@ -383,13 +387,12 @@ class SweepExecutor:
     and filled afterwards.  The executor is reusable across batches (the
     pool persists until :meth:`close`) and usable as a context manager.
 
-    ``batch`` controls the :class:`~repro.perf.planner.BatchPlanner`
-    grouping of cache-miss sim payloads into multi-run
-    ``simulate_batch`` units (default: ``$REPRO_BATCH`` or the planner
-    default of 16): ``1`` disables batching, ``N > 1`` caps batch size
-    at ``N``.  Purely a scheduling knob -- batched results are
-    bit-identical to single-run results and cache/trace/progress stay
-    per-task -- so the serial ``jobs=1`` path batches too.
+    Cache-miss sim payloads are grouped into multi-run
+    ``simulate_batch`` units by the :class:`~repro.perf.planner.
+    BatchPlanner`.  That is purely a scheduling decision -- batched
+    results are bit-identical to single-run results and
+    cache/trace/progress stay per-task -- so the serial ``jobs=1`` path
+    batches too.
     """
 
     def __init__(
@@ -398,7 +401,6 @@ class SweepExecutor:
         cache: Optional[SimCache] = None,
         tracer: Optional[Tracer] = None,
         progress: Optional[ProgressReporter] = None,
-        batch: Optional[int] = None,
     ) -> None:
         if jobs is None:
             self.jobs = default_jobs()
@@ -414,13 +416,6 @@ class SweepExecutor:
                     cap,
                     "s" if cap != 1 else "",
                 )
-        if batch is None:
-            env = os.environ.get("REPRO_BATCH", "").strip()
-            try:
-                batch = int(env) if env else 0
-            except ValueError:
-                batch = 0
-        self.batch = max(0, int(batch))  # 0 = planner default
         self.cache = cache
         # explicit tracer wins; otherwise each batch picks up the
         # innermost capture() tracer active at call time (if any)
@@ -485,10 +480,9 @@ class SweepExecutor:
         lazy), so progress heartbeats and trace events fire as each
         unit lands, not at batch end.  With ``plan=True`` the pending
         cache misses are grouped into multi-run units by the
-        :class:`~repro.perf.planner.BatchPlanner` (see the ``batch``
-        constructor knob); otherwise every payload is its own unit and
-        the stream degenerates to the historical one-task-at-a-time
-        behavior.
+        :class:`~repro.perf.planner.BatchPlanner`; otherwise every
+        payload is its own unit and the stream degenerates to the
+        historical one-task-at-a-time behavior.
         """
         tasks = list(tasks)
         tracer = self.tracer if self.tracer is not None else active_capture()
@@ -523,18 +517,10 @@ class SweepExecutor:
 
         if pending:
             payloads = [t.payload() for _i, _k, t in pending]
-            if plan and self.batch != 1 and len(pending) > 1:
-                from repro.perf.planner import (
-                    DEFAULT_MAX_BATCH,
-                    BatchPlanner,
-                )
+            if plan and len(pending) > 1:
+                from repro.perf.planner import BatchPlanner
 
-                planner = BatchPlanner(
-                    max_batch=(
-                        self.batch if self.batch > 1 else DEFAULT_MAX_BATCH
-                    ),
-                    jobs=self.jobs,
-                )
+                planner = BatchPlanner(jobs=self.jobs)
                 units = [u.indices for u in planner.plan(payloads)]
             else:
                 units = [[j] for j in range(len(payloads))]

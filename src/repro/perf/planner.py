@@ -26,10 +26,9 @@ where batching is *profitable*:
 * eligible payloads group by (topology, routing, policy) -- the
   compatibility contract of ``simulate_batch``; seed, load, pattern and
   measurement windows may differ within a group (ragged completion);
-* groups chunk to ``max_batch`` (default 16; the executor's ``batch``
-  knob sets it) and -- when the executor runs a process pool -- spread
-  so every worker gets work instead of one worker hoarding a giant
-  batch.
+* groups chunk to :data:`DEFAULT_MAX_BATCH` runs and -- when the
+  executor runs a process pool -- spread so every worker gets work
+  instead of one worker hoarding a giant batch.
 
 The native-kernel check lives in ``simulate_batch`` itself (workers may
 see a different toolchain than the parent); a unit that raises
@@ -45,7 +44,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.spec import RunSpec
 
-__all__ = ["BatchPlanner", "BatchUnit"]
+__all__ = ["DEFAULT_MAX_BATCH", "BatchPlanner", "BatchUnit"]
 
 DEFAULT_MAX_BATCH = 16
 
@@ -61,11 +60,7 @@ class BatchUnit:
 class BatchPlanner:
     """Partition pending payloads into single-run and batched units."""
 
-    def __init__(self, max_batch: int = DEFAULT_MAX_BATCH,
-                 jobs: int = 1) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        self.max_batch = max_batch
+    def __init__(self, jobs: int = 1) -> None:
         self.jobs = max(1, jobs)
 
     # ------------------------------------------------------------------
@@ -93,14 +88,13 @@ class BatchPlanner:
     def plan(self, payloads: Sequence) -> List[BatchUnit]:
         """Partition ``payloads`` into units covering each index once.
 
-        Unit order follows first appearance, so with batching disabled
-        (``max_batch=1``) the plan degenerates to the historical
-        one-payload-per-unit stream in original order.
+        Unit order follows first appearance: ineligible payloads keep
+        their one-payload-per-unit place in the original order.
         """
         groups: Dict[Tuple, List[int]] = {}
         order: List[Tuple[int, BatchUnit]] = []
         for i, payload in enumerate(payloads):
-            if self.max_batch > 1 and self.eligible(payload):
+            if self.eligible(payload):
                 groups.setdefault(self._group_key(payload), []).append(i)
             else:
                 order.append((i, BatchUnit([i], batched=False)))
@@ -108,7 +102,7 @@ class BatchPlanner:
         # (deterministic), and the final sort below orders units by
         # first index regardless of grouping order
         for indices in groups.values():
-            cap = self.max_batch
+            cap = DEFAULT_MAX_BATCH
             if self.jobs > 1:
                 # spread the group across the pool: a single giant unit
                 # would serialize on one worker while the rest idle

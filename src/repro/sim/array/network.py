@@ -35,10 +35,11 @@ directly must call :meth:`finalize` before reading final statistics
 (``simulate`` does this); per-ejection hook order and cycle stamps are
 preserved exactly, only the hook call *time* is deferred.
 
-Results are bit-identical to the wheel engine and ``LegacyNetwork``
-across seed x routing x load (pinned by ``tests/test_array_engine.py``),
-which is why the engine choice never reaches identity: all engines share
-cache entries and spec fingerprints.
+Results are bit-identical to the wheel engine across seed x routing x
+load (pinned by ``tests/test_array_engine.py`` and by the frozen
+``tests/fixtures/golden_simresults.json`` verdicts), which is why the
+engine choice never reaches identity: both engines share cache entries
+and spec fingerprints.
 """
 
 from __future__ import annotations

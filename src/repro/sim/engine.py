@@ -110,8 +110,6 @@ def build_network(
     num_vcs = params.vcs_required(base, topo.max_local_hops)
     if load_kernel() is not None:
         return ArrayNetwork(topo, params, num_vcs)
-    # the module-global name, not a direct class reference:
-    # repro.perf.bench.legacy_engine() monkeypatches it for A/B timing
     return Network(topo, params, num_vcs)
 
 

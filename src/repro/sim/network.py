@@ -165,9 +165,6 @@ class Router:
         self.out_budget = [0] * num_ports
         self.out_stamp = [-1] * num_ports
 
-    def slot(self, port: int, vc: int) -> int:
-        return port * self.num_vcs + vc
-
 
 class Network:
     """Builds the simulation network for a topology and runs cycles.
@@ -177,10 +174,8 @@ class Network:
     ports in the order of ``topo.global_links_of_switch``.
     """
 
-    # overridable element classes (the benchmark harness substitutes
-    # seed-faithful variants to measure the data-structure speedup)
+    # overridable channel class (ArrayNetwork substitutes its own)
     channel_cls = SimChannel
-    router_cls = Router
     # which engine ran, recorded in RunManifest.engine
     engine_name = "wheel"
 
@@ -195,10 +190,9 @@ class Network:
         p = topo.p
         local_degree = topo.local_degree
         num_ports = topo.radix
-        router_cls = self.router_cls
         channel_cls = self.channel_cls
         self.routers = [
-            router_cls(i, num_ports, num_vcs)
+            Router(i, num_ports, num_vcs)
             for i in range(topo.num_switches)
         ]
 

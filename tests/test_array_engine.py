@@ -4,19 +4,21 @@ The array engine (``ArrayNetwork``, which ``build_network`` picks
 whenever the native kernel loads) re-implements the per-cycle
 deliver/crossbar/transmit phases over numpy struct-of-arrays state with
 a native C kernel.  Its entire value rests on one contract: every
-``SimResult`` field equals the timing-wheel engine's (and hence the
-legacy oracle's) bit for bit, across routing variants, seeds, and
-loads.  The wheel arm is reached through the ``REPRO_ARRAYNET_NATIVE=0``
-gate.  These tests pin that contract, the host's engine choice (wheel
-when no kernel loads), and the cache/identity neutrality of that
-choice: runs from different engines must share result-cache entries,
-because the engine changes performance, never results.
+``SimResult`` field equals the timing-wheel engine's bit for bit,
+across routing variants, seeds, and loads (and both engines match the
+frozen verdicts in ``tests/fixtures/golden_simresults.json``, checked
+by ``tests/test_sim_determinism.py``).  The wheel arm is reached
+through the ``REPRO_ARRAYNET_NATIVE=0`` gate.  These tests pin that
+contract, the host's engine choice (wheel when no kernel loads), and
+the cache/identity neutrality of that choice: runs from different
+engines must share result-cache entries, because the engine changes
+performance, never results.
 """
 
 import pytest
 
 import repro.perf.executor as executor_module
-from repro.perf.bench import legacy_engine, wheel_engine
+from repro.perf.bench import wheel_engine
 from repro.perf.cache import SimCache
 from repro.perf.executor import SimTask, SweepExecutor
 from repro.sim import SimParams, build_network, simulate
@@ -65,15 +67,6 @@ def test_array_matches_wheel(routing, seed):
 def test_array_matches_wheel_at_high_load(routing):
     """Saturation exercises budgets, credit stalls, and deep queues."""
     assert _run(routing, load=0.9) == _run_wheel(routing, load=0.9)
-
-
-def test_array_matches_legacy_oracle():
-    """Transitivity made explicit: array == legacy, not just == wheel."""
-    arr = _run("ugal-l", load=0.6)
-    assert arr.manifest.engine == "array"
-    with legacy_engine():
-        legacy = _run("ugal-l", load=0.6)
-    assert arr == legacy
 
 
 def test_par_revisions_exercised():
@@ -132,10 +125,8 @@ def test_native_kernel_builds_here():
 def test_engine_excluded_from_fingerprint():
     """The manifest names the engine that ran; identity ignores it."""
     runs = [_run("ugal-l"), _run_wheel("ugal-l")]
-    with legacy_engine():
-        runs.append(_run("ugal-l"))
     manifests = [r.manifest for r in runs]
-    assert [m.engine for m in manifests] == ["array", "wheel", "legacy"]
+    assert [m.engine for m in manifests] == ["array", "wheel"]
     assert len({m.fingerprint for m in manifests}) == 1
     assert len({str(m.identity()) for m in manifests}) == 1
 

@@ -19,7 +19,7 @@ from repro.obs import ObsConfig
 from repro.perf.bench import wheel_engine
 from repro.perf.cache import SimCache
 from repro.perf.executor import SimTask, SweepExecutor
-from repro.perf.planner import BatchPlanner
+from repro.perf.planner import DEFAULT_MAX_BATCH, BatchPlanner
 from repro.sim import SimParams
 from repro.sim.batch import BatchUnsupported, simulate_batch
 from repro.spec import RunSpec
@@ -149,19 +149,18 @@ def test_cache_sharing_batched_and_single(tmp_path):
         assert batched_exec.cache_hits == 0
     assert all(r.manifest.batch_size == 3 for r in stored)
 
-    with wheel_engine(), SweepExecutor(
-        jobs=1, cache=cache, batch=1
-    ) as single_exec:
+    with wheel_engine(), SweepExecutor(jobs=1, cache=cache) as single_exec:
         hits = single_exec.run(tasks(range(3)))
         assert single_exec.cache_hits == 3
     assert hits == stored
 
     # and the reverse direction: single-run entries feed a batched sweep
-    with wheel_engine(), SweepExecutor(
-        jobs=1, cache=cache, batch=1
-    ) as single_exec:
+    # under the wheel engine the batched unit raises BatchUnsupported
+    # and the executor falls back to single runs
+    with wheel_engine(), SweepExecutor(jobs=1, cache=cache) as single_exec:
         fresh = single_exec.run(tasks(range(3, 5)))
     assert all(r.manifest.engine == "wheel" for r in fresh)
+    assert all(r.manifest.batch_size is None for r in fresh)
     with SweepExecutor(jobs=1, cache=cache) as batched_exec:
         again = batched_exec.run(tasks(range(3, 5)))
         assert batched_exec.cache_hits == 2
@@ -207,30 +206,37 @@ def test_planner_groups_compatible_specs_only():
 
 
 def test_planner_chunks_and_honours_hints():
-    # the executor's batch knob (max_batch) caps every group
-    payloads = [_spec("min", seed=seed) for seed in range(5)]
-    units = BatchPlanner(max_batch=2).plan(payloads)
-    assert [u.indices for u in units] == [[0, 1], [2, 3], [4]]
+    # DEFAULT_MAX_BATCH caps every group (planning only, no simulation)
+    n = DEFAULT_MAX_BATCH + 3
+    payloads = [_spec("min", seed=seed) for seed in range(n)]
+    units = BatchPlanner().plan(payloads)
+    assert [u.indices for u in units] == [
+        list(range(DEFAULT_MAX_BATCH)), list(range(DEFAULT_MAX_BATCH, n)),
+    ]
+    assert all(u.batched for u in units)
+
+    # a lone leftover run is a single-run unit, not a batch of one
+    units = BatchPlanner().plan(payloads[:DEFAULT_MAX_BATCH + 1])
+    assert [len(u.indices) for u in units] == [DEFAULT_MAX_BATCH, 1]
+    assert [u.batched for u in units] == [True, False]
 
     # a process pool spreads one big group across the workers
     payloads = [_spec("min", seed=seed) for seed in range(8)]
     units = BatchPlanner(jobs=4).plan(payloads)
     assert [len(u.indices) for u in units] == [2, 2, 2, 2]
 
-    # max_batch=1 degenerates to the historical per-payload stream
-    units = BatchPlanner(max_batch=1).plan(payloads)
-    assert [u.indices for u in units] == [[i] for i in range(8)]
-    assert not any(u.batched for u in units)
-
 
 def test_planner_covers_every_index_once():
+    # MIN runs past one chunk interleaved with ineligible PAR runs
+    n = 2 * DEFAULT_MAX_BATCH + 5
     payloads = [
         _spec("min", seed=seed) if seed % 2 == 0 else _spec("par", seed=seed)
-        for seed in range(9)
+        for seed in range(n)
     ]
-    units = BatchPlanner(max_batch=3).plan(payloads)
+    units = BatchPlanner().plan(payloads)
     covered = sorted(i for u in units for i in u.indices)
-    assert covered == list(range(9))
+    assert covered == list(range(n))
+    assert max(len(u.indices) for u in units) == DEFAULT_MAX_BATCH
 
 
 # ---------------------------------------------------------------------------
@@ -283,16 +289,10 @@ def test_executor_trace_marks_batched_units():
         == [True, True, True, False]
 
 
-def test_executor_batch_knob_disables(monkeypatch):
-    tasks = _min_tasks(range(3))
-    with SweepExecutor(jobs=1, batch=1) as executor:
-        results = executor.run(tasks)
-    assert all(r.manifest.batch_size is None for r in results)
-    # the environment default wires through the same knob
-    monkeypatch.setenv("REPRO_BATCH", "1")
-    with SweepExecutor(jobs=1) as executor:
-        results = executor.run(_min_tasks(range(2)))
-    assert all(r.manifest.batch_size is None for r in results)
+def test_executor_has_no_batch_knob():
+    """Batching is the planner's decision alone: no constructor knob."""
+    with pytest.raises(TypeError):
+        SweepExecutor(batch=1)
 
 
 def test_executor_falls_back_without_native(monkeypatch):

@@ -105,6 +105,14 @@ class TestCommands:
         ) == 0
         assert "T-UGAL" not in capsys.readouterr().err
 
+    def test_sweep_has_no_batch_flag(self, capsys):
+        """Batching is the planner's decision: --batch is an argparse
+        error, not a silently ignored option."""
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "-t", "2,4,2,5", "--batch", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --batch" in capsys.readouterr().err
+
     def test_figure_table(self, capsys):
         assert main(["figure", "table2"]) == 0
         out = capsys.readouterr().out

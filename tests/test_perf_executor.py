@@ -1,5 +1,7 @@
 """Parallel sweep execution: bit-identical to serial, in task order."""
 
+import pytest
+
 from repro.perf.executor import SimTask, SweepExecutor, default_jobs, run_task
 from repro.sim import SimParams
 from repro.sim.replication import replicate
@@ -105,8 +107,21 @@ def test_default_jobs_env(monkeypatch):
     # a sweep slows it down (BENCH_sim.json parallel_speedup < 1 on a
     # 1-CPU host), so the default never exceeds os.cpu_count().
     assert default_jobs() == min(6, cap)
-    monkeypatch.setenv("REPRO_JOBS", "not-a-number")
+    monkeypatch.setenv("REPRO_JOBS", "0")
     assert default_jobs() == 1
+    monkeypatch.setenv("REPRO_JOBS", str(cap + 5))
+    assert default_jobs() == cap
+
+
+@pytest.mark.parametrize("value", ["not-a-number", "four", "2.5"])
+def test_default_jobs_env_malformed(monkeypatch, value):
+    """A malformed $REPRO_JOBS fails loudly instead of running serially."""
+    monkeypatch.setenv("REPRO_JOBS", value)
+    with pytest.raises(ValueError, match="REPRO_JOBS") as exc:
+        default_jobs()
+    assert repr(value) in str(exc.value)
+    with pytest.raises(ValueError, match="REPRO_JOBS"):
+        SweepExecutor()
 
 
 def test_describe_smoke():

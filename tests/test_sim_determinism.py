@@ -1,4 +1,4 @@
-"""Run-to-run determinism and optimized-vs-legacy engine identity.
+"""Run-to-run determinism and engine identity against frozen verdicts.
 
 The seed engine kept its transmit work list in a ``set`` of channel
 objects, so iteration order -- and with it, any future behaviour that
@@ -8,15 +8,27 @@ insertion-ordered dicts) throughout; these tests pin that down:
 
 * the same (topology, pattern, routing, seed) produces bit-identical
   ``SimResult`` records on repeated in-process runs, and
-* the optimized engine matches :class:`~repro.perf.bench.LegacyNetwork`,
-  a faithful re-implementation of the seed's per-cycle data structures,
-  bit for bit across routing variants.
+* both cycle engines reproduce ``tests/fixtures/golden_simresults.json``
+  bit for bit.  The fixture holds the verdicts of the seed-faithful
+  legacy cycle engine (per-cycle ``sorted`` round-robin, dict port
+  budgets, dict-of-lists event buckets), recorded at commit
+  ``5b61d90dcaad13c6e28f391f20035f76cf10c061``, where the wheel and array
+  engines were checked to produce the same values.  The legacy engine
+  has since been deleted, so the fixture is frozen: never regenerate it
+  from the current engines.  A mismatch means an engine changed
+  observable behaviour.
 """
+
+import contextlib
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.perf.bench import LegacyNetwork, legacy_engine
+from repro.perf.bench import wheel_engine
+from repro.perf.cache import result_from_dict
 from repro.sim import SimParams, simulate
+from repro.sim.array import native_available
 from repro.topology import Dragonfly
 from repro.traffic.patterns import UniformRandom
 
@@ -24,13 +36,13 @@ TOPO = Dragonfly(2, 4, 2, 5)
 PARAMS = SimParams(window_cycles=80)
 
 
-def _run(routing, load=0.2, seed=3):
+def _run(routing, load=0.2, seed=3, params=PARAMS):
     return simulate(
         TOPO,
         UniformRandom(TOPO),
         load,
         routing=routing,
-        params=PARAMS,
+        params=params,
         seed=seed,
     )
 
@@ -50,26 +62,30 @@ def test_different_seeds_differ():
     assert _run("ugal-l", seed=3) != _run("ugal-l", seed=4)
 
 
-@pytest.mark.parametrize("routing", ["min", "ugal-l", "par"])
-def test_legacy_engine_bit_identical(routing):
-    """The hot-path rewrite changed no observable behaviour."""
-    reference = _run(routing)
-    with legacy_engine():
-        legacy = _run(routing)
-    assert legacy == reference
+GOLDEN = json.loads(
+    (Path(__file__).parent / "fixtures" / "golden_simresults.json").read_text()
+)
 
 
-def test_legacy_engine_identity_at_high_load():
-    """Deep queues exercise budgets, credit stalls, and drain paths."""
-    optimized = _run("min", load=0.9)
-    with legacy_engine():
-        legacy = _run("min", load=0.9)
-    assert legacy == optimized
+def _golden_id(case):
+    return f"{case['routing']}@{case['load']:g}"
 
 
-def test_legacy_network_is_swapped_in():
-    import repro.sim.engine as engine_module
-
-    with legacy_engine():
-        assert engine_module.Network is LegacyNetwork
-    assert engine_module.Network is not LegacyNetwork
+@pytest.mark.parametrize("engine", ["host", "wheel"])
+@pytest.mark.parametrize("case", GOLDEN, ids=_golden_id)
+def test_golden_simresult(case, engine):
+    """Full SimResult equality with the frozen legacy-engine verdict."""
+    assert (case["topology"], case["pattern"]) == ("2,4,2,5", "ur")
+    with wheel_engine() if engine == "wheel" else contextlib.nullcontext():
+        result = _run(
+            case["routing"],
+            load=case["load"],
+            seed=case["seed"],
+            params=SimParams(window_cycles=case["window_cycles"]),
+        )
+    host = "array" if native_available() else "wheel"
+    assert result.manifest.engine == (host if engine == "host" else "wheel")
+    assert result == result_from_dict(case["result"])
+    if case["routing"] == "par":
+        # hop-1 revision is the only order-sensitive RNG in a cycle
+        assert result.par_revised > 0
