@@ -81,13 +81,8 @@ def weights_for_policy(policy: "PathPolicy") -> WeightFn:
     silently model the wrong candidate set.  Unknown policy types raise
     ``TypeError`` as before.
     """
-    from repro.routing.pathset import (
-        AllVlbPolicy,
-        ExcludingPolicy,
-        ExplicitPathSet,
-        HopClassPolicy,
-        StrategicFiveHopPolicy,
-    )
+    from repro.routing.pathset import ExcludingPolicy, ExplicitPathSet
+    from repro.routing.tables import leg_split_weight
 
     if isinstance(policy, (ExcludingPolicy, ExplicitPathSet)):
         raise ValueError(
@@ -95,29 +90,8 @@ def weights_for_policy(policy: "PathPolicy") -> WeightFn:
             f"class granularity and has no class-weight representation; "
             f"evaluate it with the simulator instead"
         )
-
-    if isinstance(policy, AllVlbPolicy):
-        return lambda l1, l2: 1.0
-    if isinstance(policy, HopClassPolicy):
-        full, frac = policy.full_hops, policy.extra_fraction
-
-        def weight(l1: int, l2: int) -> float:
-            hops = l1 + l2
-            if hops <= full:
-                return 1.0
-            if hops == full + 1:
-                return frac
-            return 0.0
-
-        return weight
-    if isinstance(policy, StrategicFiveHopPolicy):
-        keep = (2, 3) if policy.order == "2+3" else (3, 2)
-
-        def weight(l1: int, l2: int) -> float:
-            if l1 + l2 <= 4:
-                return 1.0
-            return 1.0 if (l1, l2) == keep else 0.0
-
+    weight = leg_split_weight(policy)
+    if weight is not None:
         return weight
     raise TypeError(
         f"no class-weight translation for {type(policy).__name__}; "

@@ -73,6 +73,12 @@ class RunManifest:
     # both engines are bit-identical.  None on records cached before
     # the field existed
     engine: Optional[str] = None
+    # who made the route decisions: "native" (the array engine's kernel)
+    # or "python" (repro.sim.routing.RoutingAlgorithm).  Environment,
+    # never identity: both are bit-identical.  None on records from
+    # before the field existed, and on batched MIN runs, whose driver
+    # reads a precomputed route table
+    routing_backend: Optional[str] = None
     cache: str = "computed"
     metrics: Optional[Dict[str, Any]] = None
     # batched-execution runtime metadata (repro.sim.batch): how many
@@ -107,6 +113,7 @@ class RunManifest:
             "wall_seconds": self.wall_seconds,
             "engine_cycles": self.engine_cycles,
             "engine": self.engine,
+            "routing_backend": self.routing_backend,
             "cache": self.cache,
             "metrics": self.metrics,
             "batch_size": self.batch_size,
@@ -129,6 +136,7 @@ class RunManifest:
             "wall_seconds",
             "engine_cycles",
             "engine",
+            "routing_backend",
             "cache",
             "metrics",
             "batch_size",

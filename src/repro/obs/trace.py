@@ -276,6 +276,7 @@ class Tracer:
         samples = 0
         max_backlog = 0
         runs: Dict[str, int] = {}
+        backend_of: Dict[str, str] = {}
         for event in self.events:
             kind = event["type"]
             if kind == "task_finished":
@@ -299,6 +300,13 @@ class Tracer:
                         "cache_hits": event.get("cache_hits", 0),
                         "wall_seconds": event.get("wall_seconds", 0.0),
                     }
+                )
+            elif kind == "run_end" and event.get("engine"):
+                # which engine stepped the run and who routed it (per
+                # run: one run's events may arrive through several files)
+                backend_of[str(event.get("run", "run"))] = (
+                    f"{event['engine']}/"
+                    f"{event.get('routing_backend') or 'unknown'}"
                 )
             elif kind == "engine_sample":
                 samples += 1
@@ -324,6 +332,10 @@ class Tracer:
             "engine_samples": samples,
             "engine_runs": len(runs),
             "max_backlog": max_backlog,
+            "backends": {
+                label: sum(1 for v in backend_of.values() if v == label)
+                for label in sorted(set(backend_of.values()))
+            },
         }
 
 
@@ -352,6 +364,14 @@ def render_summary(summary: Dict[str, Any]) -> str:
             f"  engine: {summary['engine_samples']} samples over "
             f"{summary['engine_runs']} run(s), "
             f"max backlog {summary['max_backlog']}"
+        )
+    if summary.get("backends"):
+        lines.append(
+            "  engine/routing backend: "
+            + ", ".join(
+                f"{label} x{count}"
+                for label, count in summary["backends"].items()
+            )
         )
     return "\n".join(lines)
 

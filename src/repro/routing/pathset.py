@@ -142,12 +142,30 @@ class PathPolicy(abc.ABC):
             )
             if self.contains(topo, src, dst, desc):
                 return desc
-        # Sparse policy: build a memoized reservoir for this pair, reused
-        # by every later draw.  A long bounded rejection burst is tried
-        # first (cheap); full enumeration only for truly tiny/empty sets.
+        return self.sample_sparse(topo, src, dst, rng)
+
+    def sample_sparse(
+        self,
+        topo: Dragonfly,
+        src: int,
+        dst: int,
+        rng: np.random.Generator,
+    ) -> Optional[VlbDescriptor]:
+        """The tail of :meth:`sample` once its rejection attempts failed.
+
+        Sparse policy: build a memoized reservoir for this pair, reused
+        by every later draw.  A long bounded rejection burst is tried
+        first (cheap); full enumeration only for truly tiny/empty sets.
+        The native route decisions call this directly after running the
+        same attempts in C, so both paths share one memo and draw order.
+        """
         key = (self, src, dst)
         reservoir = _sparse_memo.get(key)
         if reservoir is None:
+            gs, gd = topo.group_of(src), topo.group_of(dst)
+            eligible = [
+                gm for gm in range(topo.g) if gm != gs and gm != gd
+            ]
             reservoir = []
             burst = 64 * _SPARSE_RESERVOIR
             for _ in range(burst):

@@ -5,8 +5,17 @@
  * struct-of-arrays state owned by Python/numpy.  The kernel holds NO
  * private state: every array it touches is a numpy buffer allocated and
  * introspected on the Python side, so observability, routing decisions
- * (load_metric) and the pure-Python phases (PAR revision processing,
- * injection, ejection draining) all read and write the same memory.
+ * (load_metric) and the Python phases (ejection draining, and injection
+ * plus PAR revisions when a run routes in Python) all read and write the
+ * same memory.
+ *
+ * Route decisions (second half of this file) follow repro/sim/routing.py
+ * and repro/sim/strategies.py draw for draw: repro_route_batch routes and
+ * queues one injection cycle's packets, and the deliver phase runs PAR
+ * revisions inline.  Random draws go through the run's numpy bit
+ * generator with numpy's own bounded-integer algorithm (draw_bounded), so
+ * a run's random stream is the one the Python reference consumes; the
+ * loader checks that replica against rng.integers before enabling it.
  *
  * Bit-exactness contract (the reason this is a scalar transliteration and
  * not a blindly vectorized arbiter): every iteration order below mirrors
@@ -18,8 +27,9 @@
  *   - wheel buckets are drained in append order;
  *   - credits are applied before deliveries, deliveries before the
  *     crossbar, the crossbar before transmissions.
- * Grant order pins the PAR on_arrival RNG draw order (handled in Python),
- * which is the only order-sensitive randomness in a cycle.
+ * Grant order pins the PAR revision RNG draw order (the deliver phase
+ * revises in bucket order, or Python does just before the step when it
+ * routes), which is the only order-sensitive randomness in a cycle.
  *
  * Performance notes (the step is memory-bound: thousands of scattered
  * accesses per cycle at saturation):
@@ -62,7 +72,7 @@
 #include <stdint.h>
 #include <string.h>
 
-#define REPRO_ARRAYNET_ABI_VERSION 11
+#define REPRO_ARRAYNET_ABI_VERSION 12
 
 /* counters[] indices (shared with Python) */
 #define CNT_ACT 0 /* active routers in act_list */
@@ -71,6 +81,7 @@
 #define CNT_PT 3  /* channels scheduled on the transmit wheel */
 #define CNT_EJ 4   /* packets in the ejection buffer (Python drains) */
 #define CNT_FREE 5 /* free packet-record slots on the stack */
+#define CNT_ARENA 6 /* route arena entries in use */
 
 /* channel kinds */
 #define KIND_SWITCH 0
@@ -137,6 +148,8 @@
 #define IM_H2NVC 7
 #define IM_STRIDE 8
 
+struct Route; /* native route-decision state, defined below */
+
 #if defined(__GNUC__) || defined(__clang__)
 #define PREFETCH_W(addr) __builtin_prefetch((addr), 1)
 #define PREFETCH_R(addr) __builtin_prefetch((addr), 0)
@@ -202,9 +215,10 @@ typedef struct {
     int32_t *pkt;        /* [cap][PK_STRIDE] */
     int32_t *pmeta;      /* [cap][PM_STRIDE] */
     int32_t *free_stack; /* [cap] LIFO of free pids (count CNT_FREE) */
-    const int32_t *arena_chan;
-    const int32_t *arena_vc;
+    int32_t *arena_chan; /* [arena_cap] route channel ids */
+    int32_t *arena_vc;   /* [arena_cap] matching VC indices */
     int64_t *counters; /* CNT_* above */
+    struct Route *route; /* native decisions; NULL = Python routes */
     /* --- scalars --- */
     int64_t nR;
     int64_t radix;
@@ -226,6 +240,7 @@ typedef struct {
     int64_t cred_stride; /* nV + 1 */
     int64_t ej_cap;
     int64_t outrow_stride; /* OR_BUD(cred_stride)+8, padded to a line */
+    int64_t arena_cap;
 } State;
 
 /* outrow columns */
@@ -236,6 +251,10 @@ typedef struct {
  * count, busy_until, flits_sent (indices 0..3 through an int64 view of
  * the row tail; the int32 and int64 regions never overlap) */
 #define OR_BUD(cs) ((2 + (cs) + 1) & ~1)
+
+/* PAR revision of one delivered packet (route decisions, below) */
+static int64_t revise(State *s, struct Route *R, int32_t *rec, int32_t *pm,
+                      int32_t router);
 
 /* sorted insert into an active-slot row (caller: slot absent) */
 static void aslot_insert(int32_t *a, int32_t *alen, int32_t slot)
@@ -287,10 +306,10 @@ static int64_t router_remove(int32_t *act_list, int32_t *act_pos,
     return nact - 1;
 }
 
-/* phase 1: credit returns, then wire arrivals into input buffers.
- * skip_credits: Python already applied this bucket (PAR revision cycles,
- * where revisions must read post-credit load_metric before the kernel
- * runs). */
+/* phase 1: credit returns, then wire arrivals into input buffers (PAR
+ * revisions inline when routing is native).  skip_credits: Python already
+ * applied this bucket (Python-routed PAR revision cycles, where revisions
+ * must read post-credit load_metric before the kernel runs). */
 static int64_t deliver(State *s, int64_t cycle, int32_t idx,
                        int64_t skip_credits)
 {
@@ -341,6 +360,7 @@ static int64_t deliver(State *s, int64_t cycle, int32_t idx,
     const int32_t ej_base = (int32_t)s->ej_base;
     const int32_t *const arena_chan = s->arena_chan;
     const int32_t *const arena_vc = s->arena_vc;
+    struct Route *const route = s->route;
     int64_t nact = s->counters[CNT_ACT];
     int64_t nej = s->counters[CNT_EJ];
     /* overlap the scattered packet-record and queue-meta misses before
@@ -370,8 +390,17 @@ static int64_t deliver(State *s, int64_t cycle, int32_t idx,
             nej++;
             continue;
         }
-        /* any PAR revision for this bucket already ran in Python */
         int32_t *const rec = pkt + (int64_t)pid * PK_STRIDE;
+        /* PAR's second-switch revision (the wheel's on_arrival), before
+         * the head decision below reads the route; when Python routes,
+         * it already ran this bucket's revisions before the step */
+        if (route && rec[PK_REV] && rec[PK_HOP] == 1) {
+            const int64_t rc = revise(s, route, rec,
+                                      pmeta + (int64_t)pid * PM_STRIDE,
+                                      ch_dst_router[c]);
+            if (rc)
+                return rc;
+        }
         const int32_t r = ch_dst_router[c];
         const int32_t gslot = ch_gslot[c] + dm[i];
         const int32_t lslot = gslot - r * nSr;
@@ -821,9 +850,10 @@ static int64_t transmit(State *s, int64_t cycle, int32_t idx)
         dw_meta[b * dw_cap + m] = wvc;
         dw_n[b] = m + 1;
         /* a revisable packet delivered after its first hop will need a
-         * Python-side PAR revision before that bucket is drained; the
-         * grant stamped that fact into the wire word so the switch path
-         * here never loads the packet record */
+         * PAR revision when that bucket is drained (Python sizes the
+         * route pools, or runs Python-routed revisions, from this
+         * count); the grant stamped that fact into the wire word so the
+         * switch path here never loads the packet record */
         rev_n[b] += wrev;
         pd++;
         if (rem) {
@@ -842,6 +872,666 @@ static int64_t transmit(State *s, int64_t cycle, int32_t idx)
     s->counters[CNT_PD] += pd;
     s->counters[CNT_PT] -= retired;
     return 0;
+}
+
+/* ======================================================================
+ * Native route decisions
+ *
+ * A transliteration of RoutingAlgorithm + the registered strategies
+ * (repro/sim/routing.py, repro/sim/strategies.py) and of
+ * PathPolicy.sample (repro/routing/pathset.py) over the flat tables of
+ * repro/routing/tables.py.  Every random draw happens in the reference's
+ * order, through the run's own numpy bit generator, with numpy's bounded
+ * integer algorithm (draw_bounded), so a natively routed run consumes the
+ * identical random stream and makes the identical decisions:
+ *   - MIN candidates: one per global link slot of the group pair (one
+ *     local route inside a group), all interned on the pair's first use
+ *     and drawn uniformly unless there is exactly one;
+ *   - VLB candidates: the 128-attempt rejection sampler, then the Python
+ *     sparse-reservoir fallback through the `sparse` callback (it owns
+ *     the reservoir memo, pathset._sparse_memo);
+ *   - the per-pair VLB candidate cache (vlb_cache_per_pair, 0 = off) and
+ *     the "pair has no VLB path" marker;
+ *   - min/vlb candidate counts, the UGAL threshold, UGAL-L/PAR first-hop
+ *     load x hops, UGAL-G path-sum load, PAR's revisable rule and its
+ *     revision at the second switch with the revised VC ladder;
+ *   - the min/vlb/par counters.
+ * A route is interned into the arena the first time it is chosen (MIN
+ * routes when their pair is first used), and a cached VLB candidate
+ * remembers its offset -- the arena grows like the Python path's
+ * id(route) memo.  Natively routed packets never exist as Python
+ * objects.
+ * The kernel never allocates: Python grows the pools and the arena to
+ * the worst case a call can need before calling (ERR_CAP is defensive).
+ * ==================================================================== */
+
+/* numpy's bitgen_t (numpy/random/bitgen.h) */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} BitGen;
+
+/* sparse-policy fallback: 1 = descriptor in out[0..2] (mid, slot1,
+ * slot2), 0 = no VLB path, < 0 = the Python side raised */
+typedef int64_t (*SparseFn)(int64_t src, int64_t dst, int32_t *out);
+
+typedef struct Route {
+    /* --- topology tables (repro.routing.tables, read-only) --- */
+    const int32_t *pair_links;     /* [g*g] */
+    const int32_t *link_near;      /* [g*g*links] */
+    const int32_t *link_far;       /* [g*g*links] */
+    const int32_t *link_channel;   /* [g*g*links] */
+    const int32_t *local_len;      /* [nS*a] */
+    const int32_t *local_channels; /* [nS*a*mlh] */
+    const int32_t *eligible;       /* [g*g*g] */
+    const int32_t *eligible_len;   /* [g*g] */
+    const int32_t *ladders;        /* [keys*maxh], row[0] < 0: overflow */
+    const int32_t *rule_classes;   /* [(maxleg+1)^2] RULE_* */
+    /* --- per-run decision state --- */
+    int32_t *min_pair; /* [nS*nS] -1, or base of the pair's MIN block */
+    int32_t *min_pool; /* per pair: links x (arena offset, meta) */
+    int32_t *vlb_pair; /* [nS*nS] -1 empty, -2 no VLB path, else base */
+    int32_t *vlb_pool; /* per pair: count, then cap x VE_STRIDE entries */
+    int64_t *rcnt;     /* RC_* below */
+    int32_t *sparse_out; /* [3] */
+    void *bitgen;      /* numpy bitgen_t of the run's Generator */
+    SparseFn sparse;
+    /* --- scalars --- */
+    int64_t a;
+    int64_t g;
+    int64_t p;
+    int64_t nS;
+    int64_t links;
+    int64_t mlh;  /* longest local route */
+    int64_t maxh; /* longest route, 2 * (2 * mlh + 1) */
+    int64_t nsh;  /* shapes: (mlh+1)^2 legs, then mlh local-only routes */
+    int64_t variant;
+    int64_t threshold;
+    int64_t min_cands;
+    int64_t vlb_cands;
+    int64_t vlb_cap;
+    int64_t cred_cap; /* buffer_size * nV: load_metric's credit capacity */
+    int64_t rule_ordered;
+    int64_t rule_quota;
+    uint64_t rule_seed;
+    int64_t min_pool_cap;
+    int64_t vlb_pool_cap;
+    int64_t err; /* ERR_VC: the overflowing ladder key */
+} Route;
+
+/* rcnt[] indices (shared with Python) */
+#define RC_MIN 0
+#define RC_VLB 1
+#define RC_REV 2
+#define RC_MINLEN 3
+#define RC_VLBLEN 4
+
+/* variants (shared with Python) */
+#define V_MIN 0
+#define V_VLB 1
+#define V_UGAL_L 2
+#define V_UGAL_G 3
+#define V_PAR 4
+
+/* cached VLB candidate entry columns (vlb_pool) */
+#define VE_OFF 0  /* arena offset, -1 until first chosen */
+#define VE_META 1 /* hops | shape1 << 8 | shape2 << 16 */
+#define VE_MID 2  /* descriptor: intermediate switch */
+#define VE_SLOTS 3 /* descriptor: slot1 << 16 | slot2 */
+#define VE_STRIDE 4
+
+#define RULE_QUOTA 2
+#define SAMPLE_ATTEMPTS 128 /* pathset._SAMPLE_ATTEMPTS */
+#define MAXH 32             /* tables.MAX_PATH_HOPS */
+#define ERR_VC -20
+#define ERR_SPARSE -21
+#define ERR_NO_MIN -22
+#define ERR_CAP -23
+
+/* rng.integers(k) for k >= 1, draw for draw (numpy's
+ * random_bounded_uint64_fill with use_masked=False: k == 1 consumes no
+ * draw, 32-bit ranges use Lemire's method on next_uint32, wider ranges
+ * on next_uint64) */
+static uint64_t draw_bounded(BitGen *bg, uint64_t k)
+{
+    const uint64_t rng = k - 1;
+    if (rng == 0)
+        return 0;
+    if (rng <= 0xFFFFFFFFULL) {
+        if (rng == 0xFFFFFFFFULL)
+            return bg->next_uint32(bg->state);
+        const uint32_t excl = (uint32_t)rng + 1;
+        uint64_t m = (uint64_t)bg->next_uint32(bg->state) * excl;
+        uint32_t left = (uint32_t)m;
+        if (left < excl) {
+            const uint32_t thr = (UINT32_MAX - (uint32_t)rng) % excl;
+            while (left < thr) {
+                m = (uint64_t)bg->next_uint32(bg->state) * excl;
+                left = (uint32_t)m;
+            }
+        }
+        return m >> 32;
+    }
+    const uint64_t excl = rng + 1;
+    unsigned __int128 m = (unsigned __int128)bg->next_uint64(bg->state) * excl;
+    uint64_t left = (uint64_t)m;
+    if (left < excl) {
+        const uint64_t thr = (UINT64_MAX - rng) % excl;
+        while (left < thr) {
+            m = (unsigned __int128)bg->next_uint64(bg->state) * excl;
+            left = (uint64_t)m;
+        }
+    }
+    return (uint64_t)(m >> 64);
+}
+
+static inline int32_t draw(Route *R, int64_t k)
+{
+    return (int32_t)draw_bounded((BitGen *)R->bitgen, (uint64_t)k);
+}
+
+/* pathset._mix: splitmix64 of a path identity */
+static uint64_t mix64(uint64_t seed, uint64_t src, uint64_t dst,
+                      uint64_t mid, uint64_t k1, uint64_t k2)
+{
+    uint64_t x = seed * 0x9E3779B97F4A7C15ULL + src * 0xBF58476D1CE4E5B9ULL +
+                 dst * 0x94D049BB133111EBULL + mid * 0xD6E8FEB86659FD93ULL +
+                 k1 * 0xA5A5A5A5A5A5A5A5ULL + k2 * 0x0123456789ABCDEFULL;
+    x ^= x >> 30;
+    x *= 0xBF58476D1CE4E5B9ULL;
+    x ^= x >> 27;
+    x *= 0x94D049BB133111EBULL;
+    x ^= x >> 31;
+    return x;
+}
+
+/* SimChannel.load_metric: queued flits + committed downstream credits */
+static inline int64_t load_of(const State *s, const Route *R, int32_t c)
+{
+    const int32_t *row = s->outrow + (int64_t)c * s->outrow_stride;
+    return (int64_t)row[OR_LEN] + R->cred_cap -
+           row[OR_CRED + s->cred_stride - 1];
+}
+
+/* a candidate route: interned (off >= 0, channels in the arena) or
+ * not yet (off < 0, channels in buf); `entry` is its VLB cache entry,
+ * which learns the offset when the route is interned */
+typedef struct {
+    int32_t off;
+    int32_t hops;
+    int32_t s1, s2; /* shapes; s2 == nsh for single-segment routes */
+    int32_t *entry;
+    int32_t buf[MAXH];
+} Cand;
+
+#define CAND_CH(s, c) ((c)->off >= 0 ? (s)->arena_chan + (c)->off : (c)->buf)
+
+static inline int64_t lad_key(const Route *R, int32_t s1, int32_t s2,
+                              int32_t revised)
+{
+    return ((int64_t)s1 * (R->nsh + 1) + s2) * 2 + revised;
+}
+
+/* min_path_via: local route to the link, the global hop, local route
+ * on; returns hops, fills channel ids and the leg's shape */
+static int32_t leg(const Route *R, int32_t u, int32_t v, int32_t k,
+                   int32_t *ch, int32_t *shape)
+{
+    const int32_t a = (int32_t)R->a, mlh = (int32_t)R->mlh;
+    const int64_t li = ((int64_t)(u / a) * R->g + v / a) * R->links + k;
+    const int64_t i1 = (int64_t)u * a + R->link_near[li] % a;
+    const int64_t i2 = (int64_t)R->link_far[li] * a + v % a;
+    const int32_t n1 = R->local_len[i1], n2 = R->local_len[i2];
+    int32_t n = 0;
+    for (int32_t j = 0; j < n1; j++)
+        ch[n++] = R->local_channels[i1 * mlh + j];
+    ch[n++] = R->link_channel[li];
+    for (int32_t j = 0; j < n2; j++)
+        ch[n++] = R->local_channels[i2 * mlh + j];
+    *shape = n1 * (mlh + 1) + n2;
+    return n;
+}
+
+static inline int32_t leg_hops(const Route *R, int32_t u, int32_t v,
+                               int32_t k)
+{
+    const int32_t a = (int32_t)R->a;
+    const int64_t li = ((int64_t)(u / a) * R->g + v / a) * R->links + k;
+    return R->local_len[(int64_t)u * a + R->link_near[li] % a] + 1 +
+           R->local_len[(int64_t)R->link_far[li] * a + v % a];
+}
+
+/* append a route with the given ladder to the arena; offset or error */
+static int64_t intern(State *s, Route *R, const int32_t *ch, int32_t hops,
+                      int64_t key)
+{
+    const int32_t *vc = R->ladders + key * R->maxh;
+    if (vc[0] < 0) {
+        R->err = key;
+        return ERR_VC;
+    }
+    const int64_t off = s->counters[CNT_ARENA];
+    if (off + hops > s->arena_cap)
+        return ERR_CAP;
+    for (int32_t j = 0; j < hops; j++) {
+        s->arena_chan[off + j] = ch[j];
+        s->arena_vc[off + j] = vc[j];
+    }
+    s->counters[CNT_ARENA] = off + hops;
+    return off;
+}
+
+/* RoutingAlgorithm._random_min; 0 or error */
+static int64_t random_min(State *s, Route *R, int32_t src, int32_t dst,
+                          Cand *c)
+{
+    const int32_t a = (int32_t)R->a;
+    const int32_t gs = src / a, gd = dst / a;
+    const int32_t n = gs == gd ? 1 : R->pair_links[gs * R->g + gd];
+    const int64_t pi = (int64_t)src * R->nS + dst;
+    int64_t base = R->min_pair[pi];
+    if (base < 0) {
+        /* _min_candidates: prepare every MIN route of the pair */
+        if (n == 0)
+            return ERR_NO_MIN; /* rng.integers(0) raises */
+        base = R->rcnt[RC_MINLEN];
+        if (base + 2 * n > R->min_pool_cap)
+            return ERR_CAP;
+        for (int32_t k = 0; k < n; k++) {
+            int32_t ch[MAXH], shape, hops;
+            if (gs == gd) {
+                const int64_t i = (int64_t)src * a + dst % a;
+                hops = R->local_len[i];
+                for (int32_t j = 0; j < hops; j++)
+                    ch[j] = R->local_channels[i * R->mlh + j];
+                shape = (int32_t)((R->mlh + 1) * (R->mlh + 1)) + hops - 1;
+            } else
+                hops = leg(R, src, dst, k, ch, &shape);
+            const int64_t off =
+                intern(s, R, ch, hops, lad_key(R, shape, (int32_t)R->nsh, 0));
+            if (off < 0)
+                return off;
+            R->min_pool[base + 2 * k] = (int32_t)off;
+            R->min_pool[base + 2 * k + 1] = hops | shape << 8;
+        }
+        R->min_pair[pi] = (int32_t)base;
+        R->rcnt[RC_MINLEN] = base + 2 * n;
+    }
+    const int32_t k = n == 1 ? 0 : draw(R, n);
+    const int32_t meta = R->min_pool[base + 2 * k + 1];
+    c->off = R->min_pool[base + 2 * k];
+    c->hops = meta & 0xff;
+    c->s1 = meta >> 8;
+    c->s2 = (int32_t)R->nsh;
+    c->entry = NULL;
+    return 0;
+}
+
+/* PathPolicy.contains, compiled (tables.compile_policy) */
+static int accept(const Route *R, int32_t src, int32_t dst, int32_t mid,
+                  int32_t k1, int32_t k2)
+{
+    if (R->rule_ordered && (mid <= src || mid <= dst))
+        return 0;
+    const int32_t l1 = leg_hops(R, src, mid, k1);
+    const int32_t l2 = leg_hops(R, mid, dst, k2);
+    const int32_t rule = R->rule_classes[l1 * (2 * R->mlh + 2) + l2];
+    if (rule == RULE_QUOTA)
+        return mix64(R->rule_seed, (uint64_t)src, (uint64_t)dst,
+                     (uint64_t)mid, (uint64_t)k1, (uint64_t)k2) %
+                   10000 <
+               (uint64_t)R->rule_quota;
+    return rule;
+}
+
+/* PathPolicy.sample: 1 = descriptor found, 0 = none, < 0 error */
+static int64_t sample(Route *R, int32_t src, int32_t dst, int32_t *desc)
+{
+    const int32_t a = (int32_t)R->a, g = (int32_t)R->g;
+    const int32_t gs = src / a, gd = dst / a;
+    const int64_t gi = (int64_t)gs * g + gd;
+    const int32_t ne = R->eligible_len[gi];
+    if (!ne)
+        return 0;
+    const int32_t *el = R->eligible + gi * g;
+    for (int32_t t = 0; t < SAMPLE_ATTEMPTS; t++) {
+        const int32_t gm = el[draw(R, ne)];
+        const int32_t m1 = R->pair_links[gs * g + gm];
+        const int32_t m2 = R->pair_links[gm * g + gd];
+        if (!m1 || !m2)
+            continue;
+        const int32_t mid = gm * a + draw(R, a);
+        const int32_t k1 = draw(R, m1);
+        const int32_t k2 = draw(R, m2);
+        if (accept(R, src, dst, mid, k1, k2)) {
+            desc[0] = mid;
+            desc[1] = k1;
+            desc[2] = k2;
+            return 1;
+        }
+    }
+    const int64_t rc = R->sparse(src, dst, R->sparse_out);
+    if (rc < 0)
+        return ERR_SPARSE;
+    if (rc == 0)
+        return 0;
+    desc[0] = R->sparse_out[0];
+    desc[1] = R->sparse_out[1];
+    desc[2] = R->sparse_out[2];
+    return 1;
+}
+
+/* vlb_path for a descriptor: two legs glued at mid */
+static void vlb_fill(const Route *R, int32_t src, int32_t dst, int32_t mid,
+                     int32_t k1, int32_t k2, Cand *c)
+{
+    int32_t sh1, sh2;
+    const int32_t n1 = leg(R, src, mid, k1, c->buf, &sh1);
+    const int32_t n2 = leg(R, mid, dst, k2, c->buf + n1, &sh2);
+    c->hops = n1 + n2;
+    c->s1 = sh1;
+    c->s2 = sh2;
+}
+
+static void cached_vlb(const Route *R, int32_t src, int32_t dst,
+                       int32_t *blk, int32_t j, Cand *c)
+{
+    int32_t *const e = blk + 1 + VE_STRIDE * j;
+    c->entry = e;
+    c->off = e[VE_OFF];
+    if (c->off < 0) {
+        vlb_fill(R, src, dst, e[VE_MID], e[VE_SLOTS] >> 16,
+                 e[VE_SLOTS] & 0xffff, c);
+        return;
+    }
+    const int32_t meta = e[VE_META];
+    c->hops = meta & 0xff;
+    c->s1 = (meta >> 8) & 0xff;
+    c->s2 = meta >> 16;
+}
+
+/* RoutingAlgorithm._random_vlb: 1 = candidate, 0 = the pair has no VLB
+ * path, < 0 error */
+static int64_t random_vlb(Route *R, int32_t src, int32_t dst, Cand *c)
+{
+    const int64_t pi = (int64_t)src * R->nS + dst;
+    const int32_t base = R->vlb_pair[pi];
+    if (base == -2)
+        return 0;
+    const int64_t cap = R->vlb_cap;
+    const int32_t cnt = base >= 0 ? R->vlb_pool[base] : 0;
+    if (cap <= 0 || cnt < cap) {
+        int32_t desc[3];
+        int64_t rc = sample(R, src, dst, desc);
+        if (rc < 0)
+            return rc;
+        if (rc == 0) {
+            if (!cnt) {
+                R->vlb_pair[pi] = -2;
+                return 0;
+            }
+            cached_vlb(R, src, dst, R->vlb_pool + base, draw(R, cnt), c);
+            return 1;
+        }
+        /* vlb_path + _prepare (whose unrevised ladder must fit) */
+        vlb_fill(R, src, dst, desc[0], desc[1], desc[2], c);
+        const int64_t key = lad_key(R, c->s1, c->s2, 0);
+        if (R->ladders[key * R->maxh] < 0) {
+            R->err = key;
+            return ERR_VC;
+        }
+        c->off = -1;
+        c->entry = NULL;
+        if (cap > 0) {
+            int64_t b = base;
+            if (b < 0) {
+                b = R->rcnt[RC_VLBLEN];
+                if (b + 1 + VE_STRIDE * cap > R->vlb_pool_cap)
+                    return ERR_CAP;
+                R->vlb_pool[b] = 0;
+                R->rcnt[RC_VLBLEN] = b + 1 + VE_STRIDE * cap;
+                R->vlb_pair[pi] = (int32_t)b;
+            }
+            int32_t *const blk = R->vlb_pool + b;
+            int32_t *const e = blk + 1 + VE_STRIDE * cnt;
+            e[VE_OFF] = -1;
+            e[VE_META] = c->hops | c->s1 << 8 | c->s2 << 16;
+            e[VE_MID] = desc[0];
+            e[VE_SLOTS] = desc[1] << 16 | desc[2];
+            blk[0] = cnt + 1;
+            c->entry = e;
+        }
+        return 1;
+    }
+    cached_vlb(R, src, dst, R->vlb_pool + base, draw(R, cnt), c);
+    return 1;
+}
+
+/* UgalLocalStrategy / UgalGlobalStrategy.cost */
+static int64_t cost(const State *s, const Route *R, const Cand *c)
+{
+    const int32_t *ch = CAND_CH(s, c);
+    if (R->variant == V_UGAL_G) {
+        int64_t sum = 0;
+        for (int32_t j = 0; j < c->hops; j++)
+            sum += load_of(s, R, ch[j]);
+        return sum;
+    }
+    return load_of(s, R, ch[0]) * c->hops;
+}
+
+typedef struct {
+    int32_t off, hops, vc0, vlb, rev;
+} Pick;
+
+/* RoutingAlgorithm._apply */
+static int64_t choose(State *s, Route *R, Cand *c, int32_t vlb, Pick *pk)
+{
+    if (c->off < 0) {
+        const int64_t off = intern(s, R, c->buf, c->hops,
+                                   lad_key(R, c->s1, c->s2, 0));
+        if (off < 0)
+            return off;
+        c->off = (int32_t)off;
+        if (c->entry)
+            c->entry[VE_OFF] = c->off;
+    }
+    pk->off = c->off;
+    pk->hops = c->hops;
+    pk->vc0 = s->arena_vc[c->off];
+    pk->vlb = vlb;
+    pk->rev = 0;
+    R->rcnt[vlb ? RC_VLB : RC_MIN]++;
+    return 0;
+}
+
+/* RoutingAlgorithm.route_packet + the variant's strategy.decide */
+static int64_t decide(State *s, Route *R, int32_t src, int32_t dst, Pick *pk)
+{
+    if (src == dst) {
+        pk->off = pk->hops = pk->vc0 = pk->vlb = pk->rev = 0;
+        R->rcnt[RC_MIN]++;
+        return 0;
+    }
+    Cand m, v, o;
+    int64_t rc = random_min(s, R, src, dst, &m);
+    if (rc < 0)
+        return rc;
+    if (R->variant == V_MIN)
+        return choose(s, R, &m, 0, pk);
+    rc = random_vlb(R, src, dst, &v);
+    if (rc < 0)
+        return rc;
+    if (rc == 0)
+        return choose(s, R, &m, 0, pk);
+    if (R->variant == V_VLB)
+        return choose(s, R, &v, 1, pk);
+    int64_t cm = cost(s, R, &m);
+    for (int64_t j = 1; j < R->min_cands; j++) {
+        rc = random_min(s, R, src, dst, &o);
+        if (rc < 0)
+            return rc;
+        const int64_t co = cost(s, R, &o);
+        if (co < cm) {
+            m = o;
+            cm = co;
+        }
+    }
+    int64_t cv = cost(s, R, &v);
+    for (int64_t j = 1; j < R->vlb_cands; j++) {
+        rc = random_vlb(R, src, dst, &o);
+        if (rc < 0)
+            return rc;
+        if (rc == 0)
+            continue;
+        const int64_t co = cost(s, R, &o);
+        if (co < cv) {
+            v = o;
+            cv = co;
+        }
+    }
+    if (cm <= cv + R->threshold) {
+        rc = choose(s, R, &m, 0, pk);
+        if (rc < 0)
+            return rc;
+        /* ParStrategy.on_min_chosen: >= 2 hops, first hop local */
+        const int32_t legs = (int32_t)((R->mlh + 1) * (R->mlh + 1));
+        if (R->variant == V_PAR && m.hops >= 2 &&
+            (m.s1 >= legs || m.s1 / (R->mlh + 1) > 0))
+            pk->rev = 1;
+        return 0;
+    }
+    return choose(s, R, &v, 1, pk);
+}
+
+/* ParStrategy.revise at `router` for a packet delivered after hop 1 */
+static int64_t revise(State *s, Route *R, int32_t *rec, int32_t *pm,
+                      int32_t router)
+{
+    rec[PK_REV] = 0;
+    const int32_t dst = rec[PK_DST] / (int32_t)R->p;
+    if (router == dst)
+        return 0;
+    Cand v;
+    int64_t rc = random_vlb(R, router, dst, &v);
+    if (rc <= 0)
+        return rc;
+    const int32_t remaining = rec[PK_PATH] - 1;
+    const int64_t roff = rec[PK_ROFF];
+    const int64_t cost_min =
+        remaining > 0 ? load_of(s, R, s->arena_chan[roff + 1]) * remaining
+                      : 0;
+    const int32_t *ch = CAND_CH(s, &v);
+    const int64_t cost_vlb = load_of(s, R, ch[0]) * v.hops;
+    if (cost_vlb + R->threshold >= cost_min)
+        return 0;
+    const int64_t key = lad_key(R, v.s1, v.s2, 1);
+    const int32_t *vc = R->ladders + key * R->maxh;
+    if (vc[0] < 0) {
+        R->err = key;
+        return ERR_VC;
+    }
+    /* route[:1] + vlb channels, vcs[:1] + the revised ladder */
+    const int64_t off = s->counters[CNT_ARENA];
+    if (off + 1 + v.hops > s->arena_cap)
+        return ERR_CAP;
+    s->arena_chan[off] = s->arena_chan[roff];
+    s->arena_vc[off] = s->arena_vc[roff];
+    for (int32_t j = 0; j < v.hops; j++) {
+        s->arena_chan[off + 1 + j] = ch[j];
+        s->arena_vc[off + 1 + j] = vc[j];
+    }
+    s->counters[CNT_ARENA] = off + 1 + v.hops;
+    rec[PK_ROFF] = (int32_t)off;
+    rec[PK_PATH] = 1 + v.hops;
+    pm[PM_VLB] = 1;
+    R->rcnt[RC_REV]++;
+    return 0;
+}
+
+/* ArrayNetwork.inject for a natively routed packet */
+static int64_t enqueue(State *s, int64_t node, int64_t dnode, int64_t cycle,
+                       const Pick *pk)
+{
+    int32_t *const meta = s->src_meta + node * 2;
+    const int32_t n = meta[1];
+    const int32_t src_cap = (int32_t)s->src_cap;
+    if (n >= src_cap)
+        return ERR_CAP;
+    if (n == 0) {
+        const int64_t c = s->inj_base + node;
+        const int64_t *tail =
+            (const int64_t *)(s->outrow + c * s->outrow_stride +
+                              OR_BUD(s->cred_stride));
+        int64_t when = tail[2]; /* busy_until */
+        if (when < cycle)
+            when = cycle;
+        const int64_t b = when % s->ws;
+        const int32_t m = s->tw_n[b];
+        if (m >= s->tw_cap)
+            return -4;
+        s->tw_chan[b * s->tw_cap + m] = (int32_t)c;
+        s->tw_n[b] = m + 1;
+        s->counters[CNT_PT]++;
+    }
+    int32_t pos = meta[0] + n;
+    if (pos >= src_cap)
+        pos -= src_cap;
+    int32_t *const e = s->src_buf + (node * src_cap + pos) * SE_STRIDE;
+    e[SE_PATH] = pk->hops;
+    e[SE_VC0] = pk->hops ? pk->vc0 : 0;
+    e[SE_DST] = (int32_t)dnode;
+    e[SE_REV] = pk->rev;
+    e[SE_ROFF] = pk->off;
+    e[SE_ICYC] = (int32_t)cycle;
+    e[SE_SPID] = 0;
+    e[SE_VLB] = pk->vlb;
+    meta[1] = n + 1;
+    return 0;
+}
+
+/* Route and queue one injection cycle's packets, in order (the engine's
+ * route_packets + inject loop).  A packet whose source queue already
+ * holds max_queue packets stalls unrouted.  Returns the number of
+ * stalled packets, or a negative error code. */
+int64_t repro_route_batch(State *s, int64_t n, const int64_t *srcs,
+                          const int64_t *dsts, int64_t cycle,
+                          int64_t max_queue)
+{
+    Route *const R = s->route;
+    const int64_t p = R->p;
+    int64_t stalled = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t node = srcs[i];
+        if (s->src_meta[node * 2 + 1] >= max_queue) {
+            stalled++;
+            continue;
+        }
+        Pick pk;
+        int64_t rc = decide(s, R, (int32_t)(node / p),
+                            (int32_t)(dsts[i] / p), &pk);
+        if (rc)
+            return rc;
+        rc = enqueue(s, node, dsts[i], cycle, &pk);
+        if (rc)
+            return rc;
+    }
+    return stalled;
+}
+
+/* one rng.integers(k) through a numpy bit generator (the loader's replica
+ * self-check and its unit test) */
+int64_t repro_draw(void *bitgen, int64_t k)
+{
+    return (int64_t)draw_bounded((BitGen *)bitgen, (uint64_t)k);
+}
+
+int64_t repro_route_size(void)
+{
+    return (int64_t)sizeof(Route);
 }
 
 /* layout guard: version * 100000 + sizeof(State), compared against the

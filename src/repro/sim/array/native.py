@@ -18,10 +18,21 @@ Environment gate ``REPRO_ARRAYNET_NATIVE``:
   falling back (CI perf gates use this to fail loudly).
 
 The :class:`CState` ctypes structure mirrors ``struct State`` in
-``kernel.c`` field for field; ``repro_abi()`` returns
-``version * 100000 + sizeof(State)`` and is checked before the first
-call so a layout drift between the two files fails fast instead of
-corrupting memory.
+``kernel.c`` field for field (and :class:`CRoute` mirrors ``struct
+Route``); ``repro_abi()`` returns ``version * 100000 + sizeof(State)``
+and ``repro_route_size()`` ``sizeof(Route)``, both checked before the
+first call so a layout drift between the two files fails fast instead
+of corrupting memory.
+
+Native route decisions draw through the run's numpy bit generator with
+a C replica of numpy's bounded-integer step.  Right after loading, the
+replica draws a fixed mixed-bound sequence (interleaved with
+``rng.random``) and compares it with ``rng.integers`` on a twin
+generator.  On a mismatch -- a numpy release that changed its algorithm
+-- the loader logs one warning and simulations keep the array engine but
+route in Python (``RunManifest.routing_backend == "python"``); under
+``REPRO_ARRAYNET_NATIVE=require`` the mismatch raises
+:class:`NativeKernelUnavailable` instead.
 """
 
 from __future__ import annotations
@@ -37,10 +48,13 @@ from typing import List, Optional, Tuple
 from repro.obs.log import get_logger
 
 __all__ = [
+    "CRoute",
     "CState",
     "NativeKernelUnavailable",
+    "SPARSE_FN",
     "load_kernel",
     "native_available",
+    "native_routing_available",
     "COUNTERS_LEN",
     "CNT_ACT",
     "CNT_PD",
@@ -61,7 +75,7 @@ __all__ = [
 
 _log = get_logger("sim.array.native")
 
-_ABI_VERSION = 11  # keep in sync with REPRO_ARRAYNET_ABI_VERSION in kernel.c
+_ABI_VERSION = 12  # keep in sync with REPRO_ARRAYNET_ABI_VERSION in kernel.c
 _KERNEL_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernel.c")
 _COMPILERS = ("cc", "gcc", "clang")
 
@@ -72,6 +86,7 @@ CNT_PC = 2
 CNT_PT = 3
 CNT_EJ = 4
 CNT_FREE = 5
+CNT_ARENA = 6
 COUNTERS_LEN = 8
 
 _I32P = ctypes.POINTER(ctypes.c_int32)
@@ -158,6 +173,7 @@ SCALAR_FIELDS: Tuple[str, ...] = (
     "cred_stride",
     "ej_cap",
     "outrow_stride",
+    "arena_cap",
 )
 
 POINTER_FIELD_NAMES: Tuple[str, ...] = tuple(n for n, _ in _POINTER_FIELDS)
@@ -166,9 +182,80 @@ POINTER_FIELD_NAMES: Tuple[str, ...] = tuple(n for n, _ in _POINTER_FIELDS)
 class CState(ctypes.Structure):
     """ctypes mirror of ``struct State`` in kernel.c."""
 
-    _fields_ = _POINTER_FIELDS + [  # type: ignore[assignment]
-        (name, ctypes.c_int64) for name in SCALAR_FIELDS
-    ]
+    _fields_ = (  # type: ignore[assignment]
+        _POINTER_FIELDS
+        + [("route", ctypes.c_void_p)]
+        + [(name, ctypes.c_int64) for name in SCALAR_FIELDS]
+    )
+
+
+# int64 (*)(int64 src, int64 dst, int32 *out): the sparse-policy fallback
+SPARSE_FN = ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I32P)
+
+# struct Route in kernel.c: table pointers, per-run state pointers, then
+# the bit generator, the sparse callback and the scalars
+ROUTE_TABLE_FIELDS: Tuple[str, ...] = (
+    "pair_links",
+    "link_near",
+    "link_far",
+    "link_channel",
+    "local_len",
+    "local_channels",
+    "eligible",
+    "eligible_len",
+    "ladders",
+    "rule_classes",
+    "min_pair",
+    "min_pool",
+    "vlb_pair",
+    "vlb_pool",
+)
+ROUTE_SCALARS: Tuple[str, ...] = (
+    "a",
+    "g",
+    "p",
+    "nS",
+    "links",
+    "mlh",
+    "maxh",
+    "nsh",
+    "variant",
+    "threshold",
+    "min_cands",
+    "vlb_cands",
+    "vlb_cap",
+    "cred_cap",
+    "rule_ordered",
+    "rule_quota",
+)
+
+# rcnt[] indices, shared with kernel.c
+RC_MIN = 0
+RC_VLB = 1
+RC_REV = 2
+RC_MINLEN = 3
+RC_VLBLEN = 4
+
+
+class CRoute(ctypes.Structure):
+    """ctypes mirror of ``struct Route`` in kernel.c."""
+
+    _fields_ = (  # type: ignore[assignment]
+        [(name, _I32P) for name in ROUTE_TABLE_FIELDS]
+        + [
+            ("rcnt", _I64P),
+            ("sparse_out", _I32P),
+            ("bitgen", ctypes.c_void_p),
+            ("sparse", SPARSE_FN),
+        ]
+        + [(name, ctypes.c_int64) for name in ROUTE_SCALARS]
+        + [
+            ("rule_seed", ctypes.c_uint64),
+            ("min_pool_cap", ctypes.c_int64),
+            ("vlb_pool_cap", ctypes.c_int64),
+            ("err", ctypes.c_int64),
+        ]
+    )
 
 
 class NativeKernelUnavailable(RuntimeError):
@@ -256,6 +343,13 @@ def _load() -> ctypes.CDLL:
             f"ctypes mirror expects {expected} -- clear the cache at "
             f"{_cache_dir()} or rebuild"
         )
+    lib.repro_route_size.restype = ctypes.c_int64
+    lib.repro_route_size.argtypes = []
+    if int(lib.repro_route_size()) != ctypes.sizeof(CRoute):
+        raise NativeKernelUnavailable(
+            "native kernel route-state layout mismatch -- clear the cache "
+            f"at {_cache_dir()} or rebuild"
+        )
     lib.repro_step_cycle.restype = ctypes.c_int64
     lib.repro_step_cycle.argtypes = [
         ctypes.POINTER(CState),
@@ -271,16 +365,58 @@ def _load() -> ctypes.CDLL:
         ctypes.c_int64,
         ctypes.POINTER(ctypes.c_int64),
     ]
+    # native route decisions: one injection cycle per call
+    lib.repro_route_batch.restype = ctypes.c_int64
+    lib.repro_route_batch.argtypes = [
+        ctypes.POINTER(CState),
+        ctypes.c_int64,
+        _I64P,
+        _I64P,
+        ctypes.c_int64,
+        ctypes.c_int64,
+    ]
+    lib.repro_draw.restype = ctypes.c_int64
+    lib.repro_draw.argtypes = [ctypes.c_void_p, ctypes.c_int64]
     return lib
+
+
+# bounds of the replica self-check: every branch of numpy's bounded
+# integer step (no draw, 32-bit Lemire incl. rejection-prone ranges, the
+# full 32-bit range, 64-bit Lemire)
+_SELFCHECK_BOUNDS = (1, 2, 7, 2**31 + 1, 2**32, 3, 1, 1000, 2**32 + 1, 5)
+_SELFCHECK_ROUNDS = 32
+
+
+def _rng_replica_selfcheck(lib: ctypes.CDLL) -> bool:
+    """Does the kernel's ``repro_draw`` reproduce ``rng.integers``?
+
+    Draws the fixed bound sequence through the kernel on one generator
+    and through numpy on a twin, interleaving ``rng.random`` calls on
+    both so the bit generators' buffered state is exercised too.
+    """
+    import numpy as np
+
+    ours = np.random.default_rng(20190917)
+    ref = np.random.default_rng(20190917)
+    bitgen = ours.bit_generator.ctypes.bit_generator
+    for i in range(_SELFCHECK_ROUNDS):
+        for k in _SELFCHECK_BOUNDS:
+            if int(lib.repro_draw(bitgen, k)) != int(ref.integers(k)):
+                return False
+        if i % 3 == 0 and ours.random() != ref.random():
+            return False
+    return bool(ours.random() == ref.random())
 
 
 # memo: None = not tried yet, False = tried and failed, CDLL = loaded
 _KERNEL: object = None
+# whether the loaded kernel's rng replica passed its self-check
+_NATIVE_ROUTING = False
 
 
 def load_kernel() -> Optional[ctypes.CDLL]:
     """The loaded kernel, or None when unavailable (per the env gate)."""
-    global _KERNEL
+    global _KERNEL, _NATIVE_ROUTING
     gate = os.environ.get("REPRO_ARRAYNET_NATIVE", "").strip().lower()
     if gate in ("0", "off", "no", "false"):
         return None
@@ -305,7 +441,26 @@ def load_kernel() -> Optional[ctypes.CDLL]:
             exc,
         )
         return None
+    _NATIVE_ROUTING = _rng_replica_selfcheck(_KERNEL)  # type: ignore[arg-type]
+    if not _NATIVE_ROUTING:
+        if gate == "require":
+            _KERNEL = False
+            raise NativeKernelUnavailable(
+                "REPRO_ARRAYNET_NATIVE=require but the kernel's rng "
+                "replica disagrees with numpy's rng.integers; native "
+                "route decisions would change results"
+            )
+        _log.warning(
+            "the native kernel's rng replica disagrees with numpy's "
+            "rng.integers; route decisions run in Python (bit-identical, "
+            "slower) and RunManifest.routing_backend records 'python'"
+        )
     return _KERNEL  # type: ignore[return-value]
+
+
+def native_routing_available() -> bool:
+    """True when the loaded kernel may make route decisions natively."""
+    return native_available() and _NATIVE_ROUTING
 
 
 def native_available() -> bool:

@@ -18,12 +18,14 @@ advanced for the whole network per call:
   drained as array batches (``StatsCollector.record_ejection_batch``),
   and every observability read (utilization, flit totals, VC occupancy,
   backlog) is a vectorized reduction over the same arrays;
-* the only order-sensitive randomness in a cycle -- PAR's ``on_arrival``
-  revision draws -- is handled in Python *before* the kernel runs, in
-  delivery-bucket order, which is exactly the wheel engine's call order
-  (this is the documented scalar path: exact RNG-order parity is
-  infeasible inside a blindly vectorized arbitration step, so arbitration
-  is kept scalar-exact and revisions stay in Python).
+* route decisions are native too whenever the run allows it
+  (:mod:`repro.sim.array.routing` states the rule): :meth:`inject_cycle`
+  routes and queues a whole injection cycle in one kernel call, and the
+  kernel's deliver phase runs PAR's second-switch revisions inline, in
+  delivery-bucket order -- exactly the wheel engine's ``on_arrival``
+  order, so the random stream is consumed identically.  Otherwise the
+  Python :class:`~repro.sim.routing.RoutingAlgorithm` routes, and the
+  revisions run in Python just *before* the kernel, in the same order.
 
 The kernel is required: constructing an ``ArrayNetwork`` without one
 (no C compiler, or gate ``REPRO_ARRAYNET_NATIVE=0``) raises
@@ -46,13 +48,15 @@ from __future__ import annotations
 
 import ctypes
 import mmap
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.obs.log import get_logger
 from repro.sim.network import Network, SimChannel
 from repro.sim.packet import Packet
 from repro.sim.array.native import (
+    CNT_ARENA,
     CNT_EJ,
     CNT_FREE,
     CNT_PC,
@@ -66,8 +70,13 @@ from repro.sim.array.native import (
     SCALAR_FIELDS,
     load_kernel,
 )
+from repro.sim.array.routing import NativeRouting
 
 __all__ = ["ArrayChannel", "ArrayNetwork"]
+
+_log = get_logger("sim.array.network")
+# fallback reasons already logged in this process (one warning each)
+_LOGGED_FALLBACKS: set = set()
 
 _PTR_OF_DTYPE = {
     np.dtype(np.int32): ctypes.POINTER(ctypes.c_int32),
@@ -115,16 +124,17 @@ class ArrayChannel(SimChannel):
 
     Construction is identical to :class:`SimChannel` (ArrayNetwork reuses
     the whole inherited topology build); afterwards the network assigns
-    every channel its array ``index`` and a back reference so
-    :meth:`load_metric` -- the UGAL congestion estimate read per routing
-    decision -- answers from the arrays the kernel updates.
+    every channel its array ``index`` and a reference to the shared
+    arrays (not to the network, so networks stay free of reference
+    cycles) so :meth:`load_metric` -- the UGAL congestion estimate read
+    per routing decision -- answers from the arrays the kernel updates.
     """
 
-    __slots__ = ("index", "_anet")
+    __slots__ = ("index", "_soa")
 
     def load_metric(self) -> int:
         i = self.index
-        soa = self._anet._S
+        soa = self._soa
         return (
             int(soa.out_len[i])
             + self.credit_capacity
@@ -172,7 +182,6 @@ class ArrayNetwork(Network):
         ordered += self.eject_channels
         for i, channel in enumerate(ordered):
             channel.index = i
-            channel._anet = self
         self._build_soa(ordered)
 
     # ------------------------------------------------------------------
@@ -193,6 +202,8 @@ class ArrayNetwork(Network):
 
         S = _SoA()
         self._S: _SoA = S
+        for channel in ordered:
+            channel._soa = S
         # --- static per-channel tables (array order = insertion order) ---
         S.ch_latency = np.array([c.latency for c in ordered], np.int32)
         S.ch_delay = np.array([c.delivery_delay for c in ordered], np.int32)
@@ -316,7 +327,6 @@ class ArrayNetwork(Network):
         self._refresh_pkt_views()
         # --- route arena ---
         self._arena_cap = _INITIAL_ARENA_CAP
-        self._arena_len = 0
         S.arena_chan = np.zeros(self._arena_cap, np.int32)
         S.arena_vc = np.zeros(self._arena_cap, np.int32)
         # memoized by id(route); _route_refs pins the lists so ids are
@@ -328,6 +338,7 @@ class ArrayNetwork(Network):
 
         self._next_spid = 1  # staging ids for revisable Packet objects
         self._live: Dict[int, Packet] = {}  # spid -> revisable Packet
+        self._router: Optional[NativeRouting] = None
 
         self._scalars = {
             "nR": nR,
@@ -384,6 +395,7 @@ class ArrayNetwork(Network):
             arr = getattr(S, name)
             setattr(st, name, arr.ctypes.data_as(_PTR_OF_DTYPE[arr.dtype]))
         self._scalars["src_cap"] = self._src_cap
+        self._scalars["arena_cap"] = self._arena_cap
         for name in SCALAR_FIELDS:
             setattr(st, name, self._scalars[name])
 
@@ -418,10 +430,11 @@ class ArrayNetwork(Network):
         new_cap = self._arena_cap
         while new_cap < need:
             new_cap *= 2
+        used = int(S.counters[CNT_ARENA])
         for name in ("arena_chan", "arena_vc"):
             old = getattr(S, name)
             grown = _alloc(new_cap, old.dtype)
-            grown[: self._arena_len] = old[: self._arena_len]
+            grown[:used] = old[:used]
             setattr(S, name, grown)
         self._arena_cap = new_cap
         self._sync_struct()
@@ -458,7 +471,7 @@ class ArrayNetwork(Network):
         if off is not None:
             return off
         S = self._S
-        off = self._arena_len
+        off = int(S.counters[CNT_ARENA])
         need = off + len(route)
         if need > self._arena_cap:
             self._grow_arena(need)
@@ -467,7 +480,7 @@ class ArrayNetwork(Network):
         for i, channel in enumerate(route):
             arena_chan[off + i] = channel.index
             arena_vc[off + i] = vcs[i]
-        self._arena_len = need
+        S.counters[CNT_ARENA] = need
         self._route_memo[key] = off
         self._route_refs.append(route)
         return off
@@ -519,6 +532,72 @@ class ArrayNetwork(Network):
         )
         src_len[node] = n + 1
 
+    def bind_routing(self, algo) -> str:
+        """Route natively when the run allows it (see
+        :mod:`repro.sim.array.routing`), else through ``algo`` in Python.
+
+        A declined run logs its reason once per process; the returned
+        backend name is what ``RunManifest.routing_backend`` records.
+        """
+        super().bind_routing(algo)
+        router, reason = NativeRouting.bind(self, algo)
+        if router is None:
+            if reason not in _LOGGED_FALLBACKS:
+                _LOGGED_FALLBACKS.add(reason)
+                _log.warning(
+                    "route decisions run in Python on the array engine: %s",
+                    reason,
+                )
+            return "python"
+        self._router = router
+        self._cstate.route = ctypes.addressof(router.cstruct)
+        return "native"
+
+    def unbind_routing(self) -> None:
+        super().unbind_routing()
+        self._router = None
+        self._cstate.route = None
+
+    def inject_cycle(self, srcs, dsts, cycle: int, max_queue: int) -> int:
+        """Route and queue one cycle's packets in one kernel call.
+
+        Same contract as :meth:`Network.inject_cycle`; without native
+        routing this is the Python route-then-inject path.
+        """
+        router = self._router
+        if router is None:
+            return super().inject_cycle(srcs, dsts, cycle, max_queue)
+        srcs = np.ascontiguousarray(srcs, dtype=np.int64)
+        dsts = np.ascontiguousarray(dsts, dtype=np.int64)
+        n = len(srcs)
+        if not n:
+            return 0
+        S = self._S
+        # source rings need room for every packet of the cycle (a trace
+        # may give one node several)
+        lens = S.src_len[srcs]
+        if n > 1 and not (srcs[1:] > srcs[:-1]).all():
+            _, first, counts = np.unique(
+                srcs, return_index=True, return_counts=True
+            )
+            need = int((lens[first] + counts).max())
+        else:
+            need = int(lens.max()) + 1
+        while need > self._src_cap:
+            self._grow_src()
+        router.ensure(self, n, 0)
+        rc = self._kernel.repro_route_batch(
+            self._cstate_ref,
+            n,
+            srcs.ctypes.data_as(_PTR_OF_DTYPE[srcs.dtype]),
+            dsts.ctypes.data_as(_PTR_OF_DTYPE[dsts.dtype]),
+            cycle,
+            max_queue,
+        )
+        if rc < 0:
+            router.raise_for(rc, cycle)
+        return rc
+
     def intern_route(self, chan_indices, vcs) -> int:
         """Append a route given by raw channel indices to the arena.
 
@@ -530,13 +609,13 @@ class ArrayNetwork(Network):
         Arena layout is bookkeeping only -- results never depend on it.
         """
         S = self._S
-        off = self._arena_len
+        off = int(S.counters[CNT_ARENA])
         need = off + len(chan_indices)
         if need > self._arena_cap:
             self._grow_arena(need)
         S.arena_chan[off:need] = chan_indices
         S.arena_vc[off:need] = vcs
-        self._arena_len = need
+        S.counters[CNT_ARENA] = need
         return off
 
     def inject_batch(
@@ -603,6 +682,8 @@ class ArrayNetwork(Network):
         skip_credits = self.pre_step()
         rc = self._step_native(self._cstate_ref, cycle, skip_credits)
         if rc:
+            if self._router is not None:
+                self._router.raise_for(rc, cycle)
             raise RuntimeError(
                 f"array kernel invariant violation (code {rc}) at "
                 f"cycle {cycle}"
@@ -625,7 +706,13 @@ class ArrayNetwork(Network):
         if S.counters[CNT_FREE] < self.topo.num_nodes:
             self._grow_pool()
         skip_credits = 0
-        if S.rev_n[idx] and self.on_arrival is not None:
+        router = self._router
+        if router is not None:
+            # the kernel revises this bucket's PAR packets itself
+            revisions = int(S.rev_n[idx])
+            if revisions:
+                router.ensure(self, 0, revisions)
+        elif S.rev_n[idx] and self.on_arrival is not None:
             # the wheel applies this cycle's credit returns before the
             # delivery loop, so PAR revisions must see post-credit
             # load_metric state; apply them here, run the revisions in
@@ -647,8 +734,11 @@ class ArrayNetwork(Network):
         self.cycle += 1
 
     def finalize(self) -> None:
-        """Flush buffered ejections so statistics hooks are complete."""
+        """Flush buffered ejections so statistics hooks are complete, and
+        publish native decision counters on the routing algorithm."""
         self._flush_ejections()
+        if self._router is not None:
+            self._router.sync_counters(self._algo)
 
     def _apply_credit_bucket(self, idx: int) -> None:
         S = self._S

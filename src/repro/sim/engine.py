@@ -29,7 +29,6 @@ from repro.obs.manifest import RunManifest
 from repro.routing.pathset import PathPolicy
 from repro.sim.array import ArrayNetwork, load_kernel
 from repro.sim.network import Network
-from repro.sim.packet import Packet
 from repro.sim.params import SimParams
 from repro.sim.routing import make_routing
 from repro.sim.stats import SimResult, StatsCollector
@@ -202,7 +201,9 @@ def simulate(
 
     network.on_eject = stats.record_ejection
     network.on_eject_batch = stats.record_ejection_batch
-    network.on_arrival = algo.revise_at
+    # the network decides who makes the route decisions: the kernel
+    # (array engine, supported configurations) or algo in Python
+    routing_backend = network.bind_routing(algo)
 
     nodes = np.arange(topo.num_nodes)
     total_cycles = params.total_cycles
@@ -250,41 +251,38 @@ def simulate(
             network.reset_channel_counters()
             if sampler is not None:
                 sampler.rebase()
-        # --- injection: trace events, or Bernoulli per node ---
+        # --- injection: trace events, or Bernoulli per node.  Each
+        # cycle's packets go to the network in one call, which routes
+        # them in order and queues them (stalling any whose source
+        # queue is full) ---
+        srcs: Any = None
+        dests: Any = None
         if scheduled:
-            for src, dst in pattern.injections_at(cycle):
-                if src == dst:
-                    continue
-                if network.source_queue_len(src) >= max_source_queue:
-                    inc_stalled()
-                    continue
-                packet = Packet(src, int(dst), cycle)
-                algo.route_packet(packet)
-                network.inject(packet)
-                inc_injected()
+            events = [
+                (src, dst)
+                for src, dst in pattern.injections_at(cycle)
+                if src != dst
+            ]
+            if events:
+                srcs, dests = zip(*events)
         elif load > 0.0:
             draws = rng.random(topo.num_nodes) < load
             srcs = nodes[draws]
             if srcs.size:
                 dests = pattern.sample_destinations(srcs, rng)
-                # batch: create, route all, then inject all.  Routing
-                # reads only channel load_metric state (never source
-                # queues), each node draws at most one packet per cycle,
-                # and route_packets preserves sequence order, so this is
-                # bit-identical to the per-packet route/inject interleave
-                batch = []
-                for src, dst in zip(srcs.tolist(), dests.tolist()):
-                    if dst == NO_TRAFFIC:
-                        continue
-                    if network.source_queue_len(src) >= max_source_queue:
-                        inc_stalled()
-                        continue
-                    batch.append(Packet(src, int(dst), cycle))
-                    inc_injected()
-                if batch:
-                    algo.route_packets(batch)
-                    for packet in batch:
-                        network.inject(packet)
+                live = dests != NO_TRAFFIC
+                if not live.all():
+                    srcs = srcs[live]
+                    dests = dests[live]
+            if not srcs.size:
+                srcs = None
+        if srcs is not None:
+            stalled = network.inject_cycle(
+                srcs, dests, cycle, max_source_queue
+            )
+            inc_injected(len(srcs) - stalled)
+            if stalled:
+                inc_stalled(stalled)
         network.step()
         if sampler is not None and network.cycle % sample_every == 0:
             sampler.sample()
@@ -318,6 +316,7 @@ def simulate(
     manifest.wall_seconds = wall_seconds
     manifest.engine_cycles = total_cycles
     manifest.engine = network.engine_name
+    manifest.routing_backend = routing_backend
     if registry.enabled:
         manifest.metrics = registry.snapshot()
     result.manifest = manifest
@@ -329,6 +328,8 @@ def simulate(
             cycle=total_cycles,
             cycles=total_cycles,
             wall_seconds=wall_seconds,
+            engine=manifest.engine,
+            routing_backend=routing_backend,
             metrics=registry.snapshot() if registry.enabled else None,
         )
         if obs is not None and obs.trace_dir:
@@ -346,4 +347,5 @@ def simulate(
         captured = active_capture()
         if captured is not None:
             captured.extend(tracer.events)
+    network.unbind_routing()
     return result

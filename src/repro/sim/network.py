@@ -332,6 +332,7 @@ class Network:
         # ejects packet-at-a-time through on_eject); the array engine
         # prefers it when set, falling back to per-packet on_eject calls
         self.on_eject_batch = None
+        self._algo = None  # set by bind_routing
 
     # ------------------------------------------------------------------
     # Route helpers
@@ -550,6 +551,51 @@ class Network:
                 retired += 1
         self._pending_deliveries += pending
         self._pending_transmits -= retired
+
+    def bind_routing(self, algo) -> str:
+        """Attach the run's routing algorithm (and its PAR revision hook,
+        ``on_arrival``); returns the backend that makes its decisions
+        (``"python"`` here: the wheel always routes through
+        ``algo.route_packets``)."""
+        self._algo = algo
+        self.on_arrival = algo.revise_at
+        return "python"
+
+    def unbind_routing(self) -> None:
+        """Drop the routing algorithm and its revision hook at the end of
+        a run: the algorithm references the network, so keeping it would
+        leave a reference cycle that holds every finished network's
+        memory until the cyclic garbage collector happens to run."""
+        self._algo = None
+        self.on_arrival = None
+
+    def inject_cycle(self, srcs, dsts, cycle: int, max_queue: int) -> int:
+        """Create, route and queue one injection cycle's packets.
+
+        Packets are routed in order (``algo.route_packets``) and then
+        queued.  A packet whose source queue already holds ``max_queue``
+        packets -- counting this cycle's earlier packets of the same node
+        -- stalls unrouted.  Returns the number of stalled packets.
+        Routing reads only channel ``load_metric`` state, never source
+        queues, so routing the whole cycle before queueing any of it is
+        bit-identical to interleaving route/inject per packet.
+        """
+        batch = []
+        queued: Dict[int, int] = {}
+        srcs = np.asarray(srcs).tolist()
+        for src, dst in zip(srcs, np.asarray(dsts).tolist()):
+            n = queued.get(src)
+            if n is None:
+                n = self.source_queue_len(src)
+            if n >= max_queue:
+                continue
+            queued[src] = n + 1
+            batch.append(Packet(src, dst, cycle))
+        if batch:
+            self._algo.route_packets(batch)
+            for packet in batch:
+                self.inject(packet)
+        return len(srcs) - len(batch)
 
     def inject(self, packet: Packet) -> None:
         """Queue a routed packet at its node's source queue."""

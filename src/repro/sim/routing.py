@@ -153,9 +153,6 @@ class RoutingAlgorithm:
     # ------------------------------------------------------------------
     # Queue estimates
     # ------------------------------------------------------------------
-    def _channels_of(self, path: Path) -> List[SimChannel]:
-        return self.network.path_channels(path)
-
     def _cost_local(self, channels: List[SimChannel], hops: int) -> int:
         """UGAL-L/PAR estimate: first-hop local queue x path length."""
         if not channels:

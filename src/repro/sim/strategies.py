@@ -9,7 +9,13 @@ registering a new strategy in ``ROUTING_REGISTRY`` (see
 
 Every strategy draws its random candidates in exactly the order the
 original monolithic implementation did, so same-seed simulations are
-bit-identical to the pre-split code (pinned by the LegacyParity tests).
+bit-identical to the pre-split code (pinned by the frozen verdicts in
+``tests/fixtures/golden_simresults.json``).  These classes are also the
+reference semantics of the array engine's native route decisions
+(``repro/sim/array/kernel.c``, bound by :mod:`repro.sim.array.routing`):
+the kernel transliterates each strategy draw for draw, so any change to
+a decision procedure here must be made there too, and the golden
+fixture checks both.
 """
 
 from __future__ import annotations
