@@ -76,13 +76,12 @@ class RunManifest:
     # who made the route decisions: "native" (the array engine's kernel)
     # or "python" (repro.sim.routing.RoutingAlgorithm).  Environment,
     # never identity: both are bit-identical.  None on records from
-    # before the field existed, and on batched MIN runs, whose driver
-    # reads a precomputed route table
+    # before the field existed
     routing_backend: Optional[str] = None
     cache: str = "computed"
     metrics: Optional[Dict[str, Any]] = None
     # batched-execution runtime metadata (repro.sim.batch): how many
-    # runs shared the kernel calls and this run's slot in that batch.
+    # runs shared one executor unit and this run's slot in it.
     # Environment fields, never identity -- a batched run is
     # bit-identical to its single-run result
     batch_size: Optional[int] = None

@@ -10,8 +10,6 @@ The benchmark families:
   the native C kernel loads).  Without the kernel the record names the
   ``fallback`` backend and skips the arm: the host then runs the wheel
   engine itself, so a "speedup" would be meaningless.
-* **Batch microbenchmark** -- whole-run throughput of the batched
-  multi-run driver against sequential single runs.
 * **Observability overhead** -- ``simulate()`` with every obs switch
   off against no obs config at all.
 * **Sweep wall-clock** -- an N-point latency-vs-load ladder executed
@@ -57,7 +55,6 @@ _NATIVE_GATE = "REPRO_ARRAYNET_NATIVE"
 __all__ = [
     "bench_adversary",
     "bench_array",
-    "bench_batch",
     "bench_model",
     "bench_obs",
     "bench_sweep",
@@ -195,97 +192,6 @@ def bench_array(
         "speedup": (cycles_arr / best_arr) / (cycles_wheel / best_wheel),
         "identical_results": result_arr == result_wheel,
     }
-
-
-def bench_batch(
-    topo: Optional[Dragonfly] = None,
-    *,
-    window_cycles: int = 600,
-    load: float = 1.0,
-    routing: str = "min",
-    batch_sizes: Sequence[int] = (1, 4, 8, 16),
-) -> Dict:
-    """Batched multi-run throughput vs sequential single-run array runs.
-
-    Unlike the step-only microbenchmarks, this arm times **whole runs**:
-    at saturating load the kernel is only a few percent of a full
-    ``simulate()`` (per-packet routing and injection dominate), so the
-    batched driver's win comes from amortizing that per-cycle Python
-    work across runs -- shared MIN candidate tables, vectorized
-    injection, one ``repro_step_batch`` call per cycle.  End-to-end
-    aggregate cycles/second is therefore the honest metric, and it is
-    the quantity sweeps actually experience.
-
-    Each batch size ``B`` runs seeds ``0..B-1`` once through
-    :func:`repro.sim.batch.simulate_batch` and once sequentially through
-    ``simulate()`` on the array engine; ``identical_results`` demands
-    full :class:`SimResult` equality for every run -- the bit-parity
-    contract that makes batching identity-neutral.  The shared candidate
-    table is prewarmed outside the timed regions (it is process-memoized
-    and amortized across every batch on one topology).
-    """
-    from repro.sim.array.native import native_available
-    from repro.sim.batch import simulate_batch
-    from repro.sim.engine import simulate
-    from repro.spec import RunSpec
-
-    topo = topo if topo is not None else default_dragonfly()
-    pattern = UniformRandom(topo)
-    params = SimParams(window_cycles=window_cycles)
-    record: Dict = {
-        "topology": str(topo),
-        "routing": routing,
-        "load": load,
-        "window_cycles": window_cycles,
-        "backend": "native" if native_available() else "fallback",
-        "batch_sizes": list(batch_sizes),
-        "arms": [],
-        "identical_results": True,
-    }
-    if record["backend"] != "native":
-        # the batched driver refuses the scalar fallback (no shared
-        # kernel call to amortize); report the skip instead of a fake 1x
-        record["skipped"] = "native kernel unavailable"
-        return record
-
-    def spec_for(seed: int) -> RunSpec:
-        return RunSpec.from_objects(
-            topo, pattern, load, routing=routing, policy=None,
-            params=params, seed=seed,
-        )
-
-    # prewarm: builds the process-memoized MIN candidate table and the
-    # kernel .so so arm timings compare steady-state costs
-    simulate_batch(
-        [RunSpec.from_objects(
-            topo, pattern, load, routing=routing, policy=None,
-            params=SimParams(window_cycles=1), seed=0,
-        )]
-    )
-    for size in batch_sizes:
-        specs = [spec_for(seed) for seed in range(size)]
-        total_cycles = sum(s.params.total_cycles for s in specs)
-        start = time.perf_counter()
-        batched = simulate_batch(specs)
-        batched_s = time.perf_counter() - start
-        start = time.perf_counter()
-        singles = [simulate(spec) for spec in specs]
-        single_s = time.perf_counter() - start
-        identical = all(b == s for b, s in zip(batched, singles))
-        record["identical_results"] = (
-            record["identical_results"] and identical
-        )
-        record["arms"].append({
-            "batch": size,
-            "engine_cycles": total_cycles,
-            "batched_seconds": batched_s,
-            "single_seconds": single_s,
-            "batched_cycles_per_sec": total_cycles / batched_s,
-            "single_cycles_per_sec": total_cycles / single_s,
-            "speedup": single_s / batched_s,
-            "identical_results": identical,
-        })
-    return record
 
 
 def bench_obs(
@@ -672,19 +578,13 @@ def run_benchmarks(
     loads = [0.05 + 0.05 * i for i in range(sweep_points)]
     record = {
         "bench": "repro.perf",
-        "version": 5,
+        "version": 6,
         "python": platform.python_version(),
         "cpus": os.cpu_count() or 1,
         "array_microbench": bench_array(
             topo,
             window_cycles=engine_window,
             repeats=1 if quick else 5,
-        ),
-        "batch_microbench": bench_batch(
-            topo,
-            window_cycles=engine_window,
-            # quick mode keeps the 1x anchor and the batch-8 CI gate
-            batch_sizes=(1, 8) if quick else (1, 4, 8, 16),
         ),
         "obs_microbench": bench_obs(
             topo,
@@ -760,16 +660,6 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"{arr['optimized_cycles_per_sec']:.0f} cycles/s "
               f"({arr['speedup']:.2f}x, "
               f"identical={arr['identical_results']})")
-    bat = record["batch_microbench"]
-    if bat.get("skipped"):
-        print(f"batch: skipped ({bat['skipped']})")
-    else:
-        ladder = ", ".join(
-            f"B={arm['batch']}: {arm['speedup']:.2f}x"
-            for arm in bat["arms"]
-        )
-        print(f"batch ({bat['backend']}, end-to-end): {ladder} "
-              f"(identical={bat['identical_results']})")
     obs = record["obs_microbench"]
     print(f"obs disabled-overhead: {obs['noop_overhead']:.3f}x "
           f"(identical={obs['identical_results']})")

@@ -173,13 +173,12 @@ def _run_unit_timed(
     """Worker entry point for one planner unit (one or many payloads).
 
     Multi-payload units run through :func:`repro.sim.batch.
-    simulate_batch` -- one batched engine advancing every run, each
-    result bit-identical to its single-run form.  A batch the host
-    cannot execute (no native kernel, incompatible members the planner
-    could not see) degrades to per-payload execution *inside the
-    worker*, so the parent never needs a second round trip.  Per-run
-    completion times come from the batch's ``on_result`` callback
-    (ragged batches finish runs at different cycles).
+    simulate_batch`, each result bit-identical to its single-run form.
+    A batch the host cannot execute (no native kernel, incompatible
+    members the planner could not see) degrades to per-payload
+    execution *inside the worker*, so the parent never needs a second
+    round trip.  Per-run completion times come from the batch's
+    ``on_result`` callback.
     """
     payloads = list(payloads)
     started = time.time()

@@ -3,29 +3,25 @@
 :class:`BatchPlanner` sits between :class:`~repro.perf.executor.
 SweepExecutor`'s cache-miss list and its worker fan-out.  It partitions
 the pending payloads into *units* -- either a single payload executed by
-the ordinary single-run path, or a group of compatible
+the ordinary single-run path, or a group of compatible MIN-routed
 :class:`~repro.spec.RunSpec` payloads executed by one
-:func:`~repro.sim.batch.simulate_batch` call, which advances all of them
-through shared kernel invocations.
+:func:`~repro.sim.batch.simulate_batch` call.
 
-Batching is a pure scheduling decision: every run in a batched unit is
-bit-identical to its single-run result (the batch parity suite pins
-this), keeps its own RunSpec fingerprint and cache entry, and emits its
-own trace/progress events.  The planner therefore only has to decide
-where batching is *profitable*:
+Batching no longer saves time: ``simulate_batch`` runs its members one
+after another through the single-run engine, because the kernel's
+native route decisions made a plain ``simulate()`` faster than the old
+lockstep driver (see :mod:`repro.sim.batch`).  Every run of a unit is
+bit-identical to its single-run result, keeps its own RunSpec
+fingerprint and cache entry, and emits its own trace/progress events.
+The planner stays, with the rest of the layer, until the benchmark
+edit that stops ``perfbench/spans.py`` wrapping it (ROADMAP item 2).
 
-* eligible payloads are declarative ``RunSpec``s (live-object tasks
-  cannot cross ``simulate_batch``'s validation), uninstrumented
-  (``params.obs is None``), and MIN-routed -- MIN is the variant with a
-  fully vectorized injection path (measured ~2.4x end-to-end per run at
-  batch 8), and the only one ``simulate_batch`` accepts.  The adaptive
-  variants spend their time in per-packet routing decisions that
-  batching cannot amortize (measured 0.87-1.03x, i.e. neutral to
-  slightly negative from cache interleaving), so they keep the
-  single-run path;
+* eligible payloads are declarative ``RunSpec``s, uninstrumented
+  (``params.obs is None``), and MIN-routed -- the only payloads
+  ``simulate_batch`` accepts;
 * eligible payloads group by (topology, routing, policy) -- the
   compatibility contract of ``simulate_batch``; seed, load, pattern and
-  measurement windows may differ within a group (ragged completion);
+  measurement windows may differ within a group;
 * groups chunk to :data:`DEFAULT_MAX_BATCH` runs and -- when the
   executor runs a process pool -- spread so every worker gets work
   instead of one worker hoarding a giant batch.

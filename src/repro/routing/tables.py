@@ -102,14 +102,8 @@ class TopologyTables:
         return (self.local_hops + 1) ** 2 + self.local_hops
 
 
-def topology_key(topo: Dragonfly) -> Optional[Hashable]:
-    """A topology's identity: its type and constructor fields.
-
-    ``None`` for topology types that are not dataclasses (their tables
-    are then rebuilt per network instead of shared).
-    """
-    if not dataclasses.is_dataclass(topo):
-        return None
+def topology_key(topo: Dragonfly) -> Hashable:
+    """A topology's identity: its type and constructor fields."""
     cls = type(topo)
     return (cls.__module__, cls.__qualname__) + tuple(
         (f.name, getattr(topo, f.name))
@@ -125,28 +119,20 @@ _TABLES_MAX = 16
 def topology_tables(
     topo: Dragonfly, channels: Iterable[Tuple[int, int, int]]
 ) -> Optional[TopologyTables]:
-    """The (cached) leg tables of ``topo``, or ``None`` if unsupported.
+    """The (cached) leg tables of ``topo``, or ``None`` if its routes are
+    longer than :data:`MAX_PATH_HOPS`.
 
     ``channels`` lists the engine's directed switch channels ``(u, v,
-    slot)`` in channel-index order; it is part of the cache key, so a
-    different numbering never reuses another's tables.  Unsupported
-    means the topology's numbering is not the flat ``group * a + local``
-    / ``switch * p + k`` scheme, or its routes are longer than
-    :data:`MAX_PATH_HOPS`.
+    slot)`` in channel-index order.  ``Network`` numbers them from the
+    topology alone, so the cache keys on :func:`topology_key`.
     """
-    channels = tuple(channels)
     key = topology_key(topo)
-    if key is not None:
-        key = (key, channels)
-        try:
-            cached = _TABLES.get(key)
-        except TypeError:  # an unhashable constructor field
-            key = cached = None
-        if cached is not None:
-            return cached
+    cached = _TABLES.get(key)
+    if cached is not None:
+        return cached
     index = {channel: i for i, channel in enumerate(channels)}
     tables = _build_tables(topo, lambda u, v, slot: index[(u, v, slot)])
-    if key is not None and tables is not None:
+    if tables is not None:
         if len(_TABLES) >= _TABLES_MAX:
             _TABLES.clear()
         _TABLES[key] = tables
@@ -156,20 +142,11 @@ def topology_tables(
 def _build_tables(
     topo: Dragonfly, channel_id: Callable[[int, int, int], int]
 ) -> Optional[TopologyTables]:
+    # switches are numbered group * a + local, nodes switch * p + k
     a, g, p = topo.a, topo.g, topo.p
     n_sw = topo.num_switches
     mlh = max(1, topo.max_local_hops)
-    if n_sw != g * a or 2 * (2 * mlh + 1) > MAX_PATH_HOPS:
-        return None
-    for sw in range(n_sw):
-        if topo.group_of(sw) != sw // a or topo.switch_id(
-            sw // a, sw % a
-        ) != sw:
-            return None
-    if any(
-        topo.switch_of_node(node) != node // p
-        for node in range(0, topo.num_nodes, max(1, p))
-    ):
+    if 2 * (2 * mlh + 1) > MAX_PATH_HOPS:
         return None
 
     pair_links = np.zeros((g, g), np.int32)
@@ -178,8 +155,6 @@ def _build_tables(
             if ga != gb:
                 pair_links[ga, gb] = len(topo.links_between_groups(ga, gb))
     links = max(1, int(pair_links.max()))
-    if links >= 1 << 15:  # kernel.c packs two slots into one int32
-        return None
     near = np.zeros((g, g, links), np.int32)
     far = np.zeros((g, g, links), np.int32)
     chan = np.zeros((g, g, links), np.int32)

@@ -934,7 +934,7 @@ typedef struct Route {
     int32_t *min_pair; /* [nS*nS] -1, or base of the pair's MIN block */
     int32_t *min_pool; /* per pair: links x (arena offset, meta) */
     int32_t *vlb_pair; /* [nS*nS] -1 empty, -2 no VLB path, else base */
-    int32_t *vlb_pool; /* per pair: count, then cap x VE_STRIDE entries */
+    int32_t *vlb_pool; /* per pair: count, room, room x VE_STRIDE entries */
     int64_t *rcnt;     /* RC_* below */
     int32_t *sparse_out; /* [3] */
     void *bitgen;      /* numpy bitgen_t of the run's Generator */
@@ -1057,15 +1057,23 @@ static inline int64_t load_of(const State *s, const Route *R, int32_t c)
 }
 
 /* a candidate route: interned (off >= 0, channels in the arena) or
- * not yet (off < 0, channels in buf); `entry` is its VLB cache entry,
- * which learns the offset when the route is interned */
+ * not yet (off < 0, channels in buf); entry `ej` of pair `epair`'s VLB
+ * cache (epair < 0: none) learns the offset when the route is interned */
 typedef struct {
     int32_t off;
     int32_t hops;
     int32_t s1, s2; /* shapes; s2 == nsh for single-segment routes */
-    int32_t *entry;
+    int32_t ej;
+    int64_t epair;
     int32_t buf[MAXH];
 } Cand;
+
+/* entry j of pair pi's VLB cache block (looked up afresh each time: a
+ * block moves when it grows) */
+static inline int32_t *vlb_entry(const Route *R, int64_t pi, int32_t j)
+{
+    return R->vlb_pool + R->vlb_pair[pi] + 2 + VE_STRIDE * j;
+}
 
 #define CAND_CH(s, c) ((c)->off >= 0 ? (s)->arena_chan + (c)->off : (c)->buf)
 
@@ -1166,7 +1174,7 @@ static int64_t random_min(State *s, Route *R, int32_t src, int32_t dst,
     c->hops = meta & 0xff;
     c->s1 = meta >> 8;
     c->s2 = (int32_t)R->nsh;
-    c->entry = NULL;
+    c->epair = -1;
     return 0;
 }
 
@@ -1237,10 +1245,11 @@ static void vlb_fill(const Route *R, int32_t src, int32_t dst, int32_t mid,
 }
 
 static void cached_vlb(const Route *R, int32_t src, int32_t dst,
-                       int32_t *blk, int32_t j, Cand *c)
+                       int64_t pi, int32_t j, Cand *c)
 {
-    int32_t *const e = blk + 1 + VE_STRIDE * j;
-    c->entry = e;
+    const int32_t *const e = vlb_entry(R, pi, j);
+    c->epair = pi;
+    c->ej = j;
     c->off = e[VE_OFF];
     if (c->off < 0) {
         vlb_fill(R, src, dst, e[VE_MID], e[VE_SLOTS] >> 16,
@@ -1273,7 +1282,7 @@ static int64_t random_vlb(Route *R, int32_t src, int32_t dst, Cand *c)
                 R->vlb_pair[pi] = -2;
                 return 0;
             }
-            cached_vlb(R, src, dst, R->vlb_pool + base, draw(R, cnt), c);
+            cached_vlb(R, src, dst, pi, draw(R, cnt), c);
             return 1;
         }
         /* vlb_path + _prepare (whose unrevised ladder must fit) */
@@ -1284,29 +1293,39 @@ static int64_t random_vlb(Route *R, int32_t src, int32_t dst, Cand *c)
             return ERR_VC;
         }
         c->off = -1;
-        c->entry = NULL;
+        c->epair = -1;
         if (cap > 0) {
             int64_t b = base;
-            if (b < 0) {
+            const int64_t room = b >= 0 ? R->vlb_pool[b + 1] : 0;
+            if (cnt == room) {
+                /* full (or new): move to a block twice the size, at most
+                 * cap, so storage follows the candidates actually drawn;
+                 * the old block is left behind (at most half the pool) */
+                const int64_t grown = room ? (2 * room < cap ? 2 * room : cap)
+                                           : 1;
                 b = R->rcnt[RC_VLBLEN];
-                if (b + 1 + VE_STRIDE * cap > R->vlb_pool_cap)
+                if (b + 2 + VE_STRIDE * grown > R->vlb_pool_cap)
                     return ERR_CAP;
-                R->vlb_pool[b] = 0;
-                R->rcnt[RC_VLBLEN] = b + 1 + VE_STRIDE * cap;
+                if (cnt)
+                    memcpy(R->vlb_pool + b + 2, R->vlb_pool + base + 2,
+                           sizeof(int32_t) * VE_STRIDE * cnt);
+                R->vlb_pool[b + 1] = (int32_t)grown;
+                R->rcnt[RC_VLBLEN] = b + 2 + VE_STRIDE * grown;
                 R->vlb_pair[pi] = (int32_t)b;
             }
             int32_t *const blk = R->vlb_pool + b;
-            int32_t *const e = blk + 1 + VE_STRIDE * cnt;
+            int32_t *const e = blk + 2 + VE_STRIDE * cnt;
             e[VE_OFF] = -1;
             e[VE_META] = c->hops | c->s1 << 8 | c->s2 << 16;
             e[VE_MID] = desc[0];
             e[VE_SLOTS] = desc[1] << 16 | desc[2];
             blk[0] = cnt + 1;
-            c->entry = e;
+            c->epair = pi;
+            c->ej = cnt;
         }
         return 1;
     }
-    cached_vlb(R, src, dst, R->vlb_pool + base, draw(R, cnt), c);
+    cached_vlb(R, src, dst, pi, draw(R, cnt), c);
     return 1;
 }
 
@@ -1336,8 +1355,8 @@ static int64_t choose(State *s, Route *R, Cand *c, int32_t vlb, Pick *pk)
         if (off < 0)
             return off;
         c->off = (int32_t)off;
-        if (c->entry)
-            c->entry[VE_OFF] = c->off;
+        if (c->epair >= 0)
+            vlb_entry(R, c->epair, c->ej)[VE_OFF] = c->off;
     }
     pk->off = c->off;
     pk->hops = c->hops;
@@ -1553,24 +1572,11 @@ int64_t repro_step_cycle(State *s, int64_t cycle, int64_t skip_credits)
     return transmit(s, cycle, idx);
 }
 
-/* Batched multi-run entry point: advance `n` independent simulations by
- * one cycle in a single call.  Runs are processed run-major -- each
- * run's whole deliver -> crossbar -> transmit sequence completes before
- * the next run's begins -- so per-run memory behavior is identical to
- * `repro_step_cycle` and results are bit-identical by construction (the
- * runs share no state).  The win lives in the Python driver above: the
- * per-cycle interpreter work (revision pre-passes, growth checks,
- * ejection-drain checks, the ctypes boundary) is paid once per batch
- * instead of once per run.
- *
- * A phase-major variant with one-run-ahead prefetch priming was
- * prototyped and measured SLOWER on the 1-CPU bench host (interleaving
- * the runs' working sets evicts the per-run L2 reuse that run-major
- * order preserves), so the simple loop is the deliberate final form.
- *
- * On a kernel invariant violation the failing run is encoded into the
- * return code as `rc * 1000 + run_index` (codes are small positive
- * ints, batches are far below 1000 runs). */
+/* Advance `n` independent simulations by one cycle, run-major.  No
+ * driver calls it any more (repro.sim.batch runs its members one after
+ * another); it stays exported because perfbench/spans.py wraps it, and
+ * goes with the rest of the batch layer (ROADMAP item 2).  A failing
+ * run is encoded into the return code as `rc * 1000 + run_index`. */
 int64_t repro_step_batch(State **ss, int64_t n, int64_t cycle,
                          const int64_t *skip_credits)
 {

@@ -356,8 +356,7 @@ def _load() -> ctypes.CDLL:
         ctypes.c_int64,
         ctypes.c_int64,
     ]
-    # batched entry point: one call advances n independent runs one
-    # cycle (run-major; bit-identical per run to repro_step_cycle)
+    # n runs one cycle each; unused, kept for perfbench's span wrapper
     lib.repro_step_batch.restype = ctypes.c_int64
     lib.repro_step_batch.argtypes = [
         ctypes.POINTER(ctypes.POINTER(CState)),

@@ -598,112 +598,16 @@ class ArrayNetwork(Network):
             router.raise_for(rc, cycle)
         return rc
 
-    def intern_route(self, chan_indices, vcs) -> int:
-        """Append a route given by raw channel indices to the arena.
-
-        The batched driver's shared candidate tables carry channel
-        *indices* (identical across every network built on one topology)
-        instead of per-network :class:`SimChannel` objects, so its
-        interning bypasses the ``id(route)``-keyed memo of
-        :meth:`_register_route`; callers memoize offsets themselves.
-        Arena layout is bookkeeping only -- results never depend on it.
-        """
-        S = self._S
-        off = int(S.counters[CNT_ARENA])
-        need = off + len(chan_indices)
-        if need > self._arena_cap:
-            self._grow_arena(need)
-        S.arena_chan[off:need] = chan_indices
-        S.arena_vc[off:need] = vcs
-        S.counters[CNT_ARENA] = need
-        return off
-
-    def inject_batch(
-        self,
-        src_nodes: np.ndarray,
-        path_hops: np.ndarray,
-        vcs0: np.ndarray,
-        dst_nodes: np.ndarray,
-        route_offs: np.ndarray,
-        cycle: int,
-        used_vlb: int = 0,
-    ) -> None:
-        """Vectorized :meth:`inject` for one cycle's routed packets.
-
-        Contract (matches the engine's Bernoulli injection exactly):
-        ``src_nodes`` is strictly ascending with at most one packet per
-        node, every packet is non-revisable and already routed (arena
-        offsets from :meth:`intern_route`), and the caller has applied
-        the source-queue cap filter.  The queue records written, the
-        timing-wheel appends for previously-empty queues (in the same
-        ascending order the per-packet loop produces), and the counter
-        updates are bit-identical to ``inject()`` called per packet.
-        """
-        S = self._S
-        lens = S.src_len[src_nodes]
-        while int(lens.max()) >= self._src_cap:
-            self._grow_src()
-        empties = src_nodes[lens == 0]
-        if empties.size:
-            busy = S.busy_until
-            tw_chan = S.tw_chan
-            tw_n = S.tw_n
-            ws = self._wheel_size
-            base = self._inj_base
-            for node in empties.tolist():
-                channel = base + node
-                when = int(busy[channel])
-                if when < cycle:
-                    when = cycle
-                bucket = when % ws
-                m = int(tw_n[bucket])
-                tw_chan[bucket, m] = channel
-                tw_n[bucket] = m + 1
-            S.counters[CNT_PT] += int(empties.size)
-        rec = np.empty((src_nodes.size, 8), np.int32)
-        rec[:, 0] = path_hops
-        rec[:, 1] = vcs0
-        rec[:, 2] = dst_nodes
-        rec[:, 3] = 0  # revisable
-        rec[:, 4] = route_offs
-        rec[:, 5] = cycle
-        rec[:, 6] = 0  # spid
-        rec[:, 7] = used_vlb
-        pos = (S.src_head[src_nodes] + lens) % self._src_cap
-        S.src_buf[src_nodes, pos] = rec
-        S.src_len[src_nodes] = lens + 1
-
     # ------------------------------------------------------------------
     # Per-cycle step
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Advance one cycle (deliver -> crossbar -> transmit)."""
-        cycle = self.cycle
-        skip_credits = self.pre_step()
-        rc = self._step_native(self._cstate_ref, cycle, skip_credits)
-        if rc:
-            if self._router is not None:
-                self._router.raise_for(rc, cycle)
-            raise RuntimeError(
-                f"array kernel invariant violation (code {rc}) at "
-                f"cycle {cycle}"
-            )
-        self.post_step()
-
-    def pre_step(self) -> int:
-        """Per-cycle Python work that must run *before* the kernel.
-
-        Returns the kernel's ``skip_credits`` flag.  Split out of
-        :meth:`step` so the batched driver (:mod:`repro.sim.batch`) can
-        run every run's pre-pass, make one ``repro_step_batch`` call for
-        the whole batch, then run every run's :meth:`post_step` -- the
-        exact sequence ``step()`` performs for a single run.
-        """
         S = self._S
         cycle = self.cycle
         idx = cycle % self._wheel_size
         # at most one packet per node can enter the network per cycle
-        if S.counters[CNT_FREE] < self.topo.num_nodes:
+        while S.counters[CNT_FREE] < self.topo.num_nodes:
             self._grow_pool()
         skip_credits = 0
         router = self._router
@@ -722,11 +626,14 @@ class ArrayNetwork(Network):
             self._apply_credit_bucket(idx)
             self._process_revisions(idx)
             skip_credits = 1
-        return skip_credits
-
-    def post_step(self) -> None:
-        """Per-cycle Python work after the kernel: drain checks, clock."""
-        S = self._S
+        rc = self._step_native(self._cstate_ref, cycle, skip_credits)
+        if rc:
+            if router is not None:
+                router.raise_for(rc, cycle)
+            raise RuntimeError(
+                f"array kernel invariant violation (code {rc}) at "
+                f"cycle {cycle}"
+            )
         # ejections accumulate in-kernel and drain in large batches; the
         # buffer must be flushed before the next cycle could overflow it
         if S.counters[CNT_EJ] >= self._ej_flush:

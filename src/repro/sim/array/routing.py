@@ -19,8 +19,8 @@ outcome):
 * the algorithm is a plain :class:`RoutingAlgorithm` running one of the
   five registered strategies (``min``, ``vlb``, ``ugal-l``, ``ugal-g``,
   ``par``; T- forms included) with a numpy ``Generator``;
-* the topology uses the flat switch/node numbering and routes of at most
-  :data:`~repro.routing.tables.MAX_PATH_HOPS` hops;
+* the topology's routes are at most
+  :data:`~repro.routing.tables.MAX_PATH_HOPS` hops long;
 * the policy compiles (:func:`~repro.routing.tables.compile_policy`):
   ``AllVlbPolicy``, ``HopClassPolicy``, ``StrategicFiveHopPolicy``,
   ``OrderedVlbPolicy``.  ``ExcludingPolicy``, ``ExplicitPathSet`` and
@@ -35,6 +35,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.routing.tables import (
+    MAX_PATH_HOPS,
     compile_policy,
     topology_tables,
     vc_ladders,
@@ -124,7 +125,11 @@ class NativeRouting:
         )
         self._arena_per_revision = tables.max_hops + 1
         self._min_per_packet = 2 * tables.links
-        self._vlb_per_pair = 1 + 4 * cap if cap > 0 else 0  # VE_STRIDE
+        # a VLB sample may move its pair's cache block to a new one of
+        # at most 2 + VE_STRIDE * cap ints; a packet draws up to
+        # vlb_candidates samples, a revision one
+        self._vlb_per_sample = 2 + 4 * cap if cap > 0 else 0
+        self._vlb_per_packet = params.vlb_candidates * self._vlb_per_sample
 
         st = CRoute()
         self.cstruct = st
@@ -189,7 +194,8 @@ class NativeRouting:
         tables = topology_tables(network.topo, network.channels)
         if tables is None:
             return None, (
-                f"topology {type(network.topo).__name__} has no flat tables"
+                f"routes of {network.topo} are longer than the kernel's "
+                f"{MAX_PATH_HOPS} hops"
             )
         rule = compile_policy(algo.policy, tables.max_leg)
         if rule is None:
@@ -217,9 +223,11 @@ class NativeRouting:
             self.min_pool = _grown(self.min_pool, need)
             st.min_pool = _ptr(self.min_pool)
             st.min_pool_cap = len(self.min_pool)
-        need = int(self.rcnt[RC_VLBLEN]) + (
-            packets + revisions
-        ) * self._vlb_per_pair
+        need = (
+            int(self.rcnt[RC_VLBLEN])
+            + packets * self._vlb_per_packet
+            + revisions * self._vlb_per_sample
+        )
         if need > len(self.vlb_pool):
             self.vlb_pool = _grown(self.vlb_pool, need)
             st.vlb_pool = _ptr(self.vlb_pool)

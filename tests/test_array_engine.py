@@ -69,6 +69,16 @@ def test_array_matches_wheel_at_high_load(routing):
     assert _run(routing, load=0.9) == _run_wheel(routing, load=0.9)
 
 
+def test_packet_pool_grows_past_one_doubling(monkeypatch):
+    """More nodes than twice the initial packet pool: one cycle's
+    injections must still find a packet record each."""
+    import repro.sim.array.network as array_network
+
+    monkeypatch.setattr(array_network, "_INITIAL_PACKET_CAP", 8)
+    assert 2 * 8 < TOPO.num_nodes
+    assert _run("min", load=1.0) == _run_wheel("min", load=1.0)
+
+
 def test_par_revisions_exercised():
     """The PAR arm revises packets, so hop-1 revision -- the only
     order-sensitive RNG in a cycle -- is actually covered above."""

@@ -34,8 +34,9 @@ from repro.routing.tables import (
 )
 from repro.routing.vlb import enumerate_vlb_descriptors, vlb_leg_hops
 from repro.sim import SimParams, simulate
-from repro.sim.array import native_available
+from repro.sim.array import ArrayNetwork, native_available
 from repro.sim.network import Network
+from repro.sim.routing import make_routing
 from repro.topology import CascadeDragonfly, Dragonfly, FullMesh
 from repro.traffic.patterns import Shift, UniformRandom
 
@@ -148,6 +149,48 @@ def test_uncompilable_policy_routes_in_python(monkeypatch, caplog):
         assert _run("t-ugal-l", policy=policy) == result
 
 
+@needs_kernel
+@pytest.mark.parametrize("cap", [1, 3])
+def test_vlb_cache_blocks_grow_bit_identically(cap):
+    """A pair's candidate block starts with one entry and moves to a
+    larger one as it fills, up to the cap (3 is not a doubling step);
+    two VLB candidates per decision can move it between the samples."""
+    params = SimParams(
+        window_cycles=60, vlb_cache_per_pair=cap, vlb_candidates=2
+    )
+
+    def run():
+        return simulate(
+            TOPO, UniformRandom(TOPO), 0.4, routing="ugal-g",
+            params=params, seed=3,
+        )
+
+    result = run()
+    assert result.manifest.routing_backend == "native"
+    with wheel_engine():
+        assert run() == result
+
+
+@needs_kernel
+def test_vlb_cache_storage_follows_drawn_candidates():
+    """One routed packet per switch pair stores one candidate per pair
+    (a 2-int header and one 4-int entry), not a whole capped block."""
+    params = SimParams(window_cycles=60)
+    net = ArrayNetwork(
+        TOPO, params, params.vcs_required("ugal-l", TOPO.max_local_hops)
+    )
+    algo = make_routing(net, "ugal-l", rng=np.random.default_rng(0))
+    assert net.bind_routing(algo) == "native"
+    p = TOPO.p
+    srcs = np.arange(0, TOPO.num_nodes, p)  # first node of each switch
+    pairs = 0
+    for shift in range(1, TOPO.num_switches):
+        dsts = (srcs + shift * p) % TOPO.num_nodes
+        assert net.inject_cycle(srcs, dsts, shift, 10_000) == 0
+        pairs += len(srcs)
+    assert int(net._router.rcnt[native.RC_VLBLEN]) == pairs * (2 + 4)
+
+
 # ---------------------------------------------------------------------------
 # Provenance
 # ---------------------------------------------------------------------------
@@ -191,16 +234,6 @@ def test_tables_shared_by_equal_topologies():
     again = topology_tables(Dragonfly(4, 8, 4, 9), _channels(Dragonfly(4, 8, 4, 9)))
     assert first is again
     assert topology_tables(TOPO, _channels(TOPO)) is not first
-
-
-def test_tables_keyed_by_channel_numbering():
-    """Another numbering of the same topology gets its own tables."""
-    channels = list(_channels(TOPO))
-    ours = topology_tables(TOPO, channels)
-    theirs = topology_tables(TOPO, channels[::-1])
-    assert theirs is not ours
-    assert not np.array_equal(theirs.link_channel, ours.link_channel)
-    assert topology_tables(TOPO, channels) is ours
 
 
 def _rule_accepts(rule, max_leg, topo, src, dst, desc):

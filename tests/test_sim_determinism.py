@@ -121,6 +121,11 @@ def test_golden_simresult(case, engine):
         sparse_pairs = len(pathset._sparse_memo)
     host = "array" if native_available() else "wheel"
     assert result.manifest.engine == (host if engine == "host" else "wheel")
+    # with the kernel loaded every golden case routes in C; a silent fall
+    # back to Python would make the host case compare Python with Python
+    assert result.manifest.routing_backend == (
+        "native" if host == "array" and engine == "host" else "python"
+    )
     assert result == result_from_dict(case["result"])
     if case["routing"] in ("par", "t-par"):
         # hop-1 revision is the only order-sensitive RNG in a cycle
